@@ -1,11 +1,11 @@
 /**
  * @file
- * Jittered exponential backoff for respawn/reconnect loops.
+ * Jittered exponential backoff for the shard supervisor's respawn loop.
  *
  * PR 8's respawn backoff was deterministic (`base << crashes`), which
  * has a thundering-herd failure mode: workers that crash together (one
- * poisoned job fanned out, an OOM sweep, a rebooted remote host)
- * respawn in lockstep and crash together again. The schedule here
+ * poisoned job fanned out, an OOM sweep) respawn in lockstep and
+ * crash together again. The schedule here
  * keeps the exponential envelope but draws each delay uniformly from
  * [d/2, d] where d = min(base * 2^(n-1), cap) — so simultaneous
  * failures decorrelate within two or three rounds while the expected
@@ -13,7 +13,7 @@
  *
  * The ceiling is explicit and documented: no matter how many times a
  * peer fails, the delay never exceeds `capMs` (default 10 s). Without
- * a cap, a flapping remote worker would back off into hours and look
+ * a cap, a flapping worker slot would back off into hours and look
  * quarantined without ever being reported as such.
  *
  * Determinism: the jitter source is a splitmix64 hash of (seed,

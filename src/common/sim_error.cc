@@ -22,7 +22,6 @@ simErrorKindName(SimErrorKind kind)
       case SimErrorKind::Watchdog: return "watchdog";
       case SimErrorKind::Internal: return "internal";
       case SimErrorKind::WorkerCrash: return "worker_crash";
-      case SimErrorKind::LinkLost: return "link_lost";
     }
     return "?";
 }

@@ -25,12 +25,6 @@
  *                abort, OOM kill, heartbeat silence); assigned by the
  *                shard supervisor, never by in-process code, since by
  *                definition the process that hit it cannot report it
- *   link_lost  — the *connection* to a remote sweep daemon died with
- *                the job in flight (TCP reset, handshake refusal,
- *                heartbeat silence on the socket); assigned by the
- *                remote pool. Distinct from worker_crash so a sweep
- *                report can separate "the remote machine's worker
- *                segfaulted" from "the network / daemon went away".
  */
 
 #ifndef VGIW_COMMON_SIM_ERROR_HH
@@ -55,7 +49,6 @@ enum class SimErrorKind : uint8_t
     Watchdog,    ///< replay cycle ceiling / wall-clock deadline hit
     Internal,    ///< captured panic or unclassified replay exception
     WorkerCrash, ///< worker process died mid-job (shard supervisor)
-    LinkLost,    ///< remote daemon link died mid-job (remote pool)
 };
 
 /** Stable lower-case name ("config", "watchdog", ...) for JSON. */

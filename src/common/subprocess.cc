@@ -4,7 +4,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -47,10 +46,7 @@ frameChecksum(uint32_t len, uint8_t type, std::string_view payload)
     return fnv1aStep(h, payload.data(), payload.size());
 }
 
-/** Write all of @p len bytes, retrying EINTR and partial writes. A
- * socket whose SO_SNDTIMEO expires (stalled peer) fails with EAGAIN —
- * reported as an ordinary write failure the caller treats as a dead
- * link. */
+/** Write all of @p len bytes, retrying EINTR and partial writes. */
 bool
 writeAll(int fd, const void *data, size_t len)
 {
@@ -86,11 +82,6 @@ readAll(int fd, void *out, size_t len, bool *started)
                     return ReadStatus::Interrupted;
                 continue;
             }
-            // Only fds with SO_RCVTIMEO set (sockets) produce EAGAIN
-            // here: no data arrived within the timer — before a frame
-            // that is a quiet peer, mid-frame it is a stall.
-            if (errno == EAGAIN || errno == EWOULDBLOCK)
-                return ReadStatus::Timeout;
             return ReadStatus::Error;
         }
         if (n == 0)
@@ -112,9 +103,7 @@ writeFrameWithSum(int fd, FrameType type, std::string_view payload,
                   uint64_t sum)
 {
     // Header: u32 length, u8 type, u64 checksum — fixed layout, native
-    // endianness (pipe peers are fork()s of one process; TCP peers are
-    // gated by the versioned Hello handshake and a same-architecture
-    // fleet assumption).
+    // endianness (pipe peers are fork()s of one process).
     char header[13];
     const uint32_t len = uint32_t(payload.size());
     const uint8_t t = uint8_t(type);
@@ -145,26 +134,6 @@ writeCorruptFrameForTest(int fd, FrameType type, std::string_view payload)
     const uint64_t good = frameChecksum(uint32_t(payload.size()),
                                         uint8_t(type), payload);
     return writeFrameWithSum(fd, type, payload, good ^ 1);
-}
-
-bool
-writeFrameStalledForTest(int fd, FrameType type, std::string_view payload,
-                         int millis)
-{
-    if (payload.size() > kMaxFrameBytes)
-        return false;
-    char header[13];
-    const uint32_t len = uint32_t(payload.size());
-    const uint8_t t = uint8_t(type);
-    const uint64_t sum = frameChecksum(len, t, payload);
-    std::memcpy(header, &len, 4);
-    std::memcpy(header + 4, &t, 1);
-    std::memcpy(header + 5, &sum, 8);
-    if (!writeAll(fd, header, sizeof header))
-        return false;
-    struct timespec ts = {millis / 1000, (millis % 1000) * 1000000L};
-    ::nanosleep(&ts, nullptr);
-    return writeAll(fd, payload.data(), payload.size());
 }
 
 ReadStatus

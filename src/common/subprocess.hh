@@ -1,8 +1,7 @@
 /**
  * @file
- * Process spawning and the framed wire protocol for supervised worker
- * fleets — over pipes (same-machine shards, PR 8) and TCP sockets
- * (remote sweep daemons, `vgiw_sweepd`).
+ * Process spawning and the framed pipe protocol for supervised worker
+ * fleets (same-machine shards).
  *
  * The in-process experiment engine contains every *soft* fault — a
  * typed exception, a watchdog trip, a captured panic — but a hard
@@ -18,8 +17,8 @@
  *    stdio twice. On Linux the child asks for SIGTERM on parent death
  *    (PR_SET_PDEATHSIG), so a crashed coordinator cannot leak workers.
  *  - **frames** — every message is length + type + FNV-1a checksum +
- *    payload. Pipes and sockets deliver bytes, not messages; the frame
- *    header re-creates message boundaries. The checksum covers the
+ *    payload. Pipes deliver bytes, not messages; the frame header
+ *    re-creates message boundaries. The checksum covers the
  *    length and type bytes as well as the payload, so a flipped header
  *    bit is caught like a flipped payload bit. Detected corruption is
  *    split into two grades: `CorruptRecord` (the stream is still
@@ -32,24 +31,17 @@
  *    (clean exit / signal / still running) and render it for error
  *    messages ("killed by signal 11 (SIGSEGV)").
  *
- * Blocking, signals, timeouts: reads and writes retry EINTR and short
- * transfers (pipes rarely split a 13-byte header; TCP will, and a
+ * Blocking and signals: reads and writes retry EINTR and short
+ * transfers (pipes rarely split a 13-byte header, but a
  * one-byte-at-a-time feed must reassemble — tests pin this). An EINTR
  * before the first byte returns `Interrupted` so a worker blocked
- * waiting for its next job can notice a SIGTERM drain promptly. On
- * sockets with SO_RCVTIMEO/SO_SNDTIMEO set, an expired timer surfaces
- * as `Timeout` — a peer that stalls mid-frame is detected instead of
- * hanging the coordinator forever (pipes never have timeouts set, so
- * the pipe transport never sees this status). Writers must
- * ignoreSigpipe() first: a write to a dead peer then fails with EPIPE
- * instead of killing the process — exactly the failure the supervisor
- * exists to contain.
+ * waiting for its next job can notice a SIGTERM drain promptly.
+ * Writers must ignoreSigpipe() first: a write to a dead peer then
+ * fails with EPIPE instead of killing the process — exactly the
+ * failure the supervisor exists to contain.
  *
- * Endianness: headers use native byte order. For pipes the peers are
- * fork()s of one process; for TCP the handshake (FrameType::Hello)
- * carries a protocol version and the suite fingerprint, and the fleet
- * is assumed same-architecture — a mismatched peer fails the
- * handshake rather than silently misparsing frames.
+ * Endianness: headers use native byte order; the peers are fork()s of
+ * one process.
  */
 
 #ifndef VGIW_COMMON_SUBPROCESS_HH
@@ -73,9 +65,6 @@ enum class FrameType : uint8_t
     Heartbeat = 3, ///< worker -> coordinator: liveness beacon
     Stats = 4,     ///< worker -> coordinator: final cache/store counters
     Shutdown = 5,  ///< coordinator -> worker: drain and exit cleanly
-    Hello = 6,     ///< client -> daemon: version + sweep fingerprint
-    HelloAck = 7,  ///< daemon -> client: accept/reject the handshake
-    JobCrash = 8,  ///< daemon -> client: a local worker died on a job
 };
 
 /** One decoded message. */
@@ -91,7 +80,6 @@ enum class ReadStatus
     Ok,            ///< a complete, checksum-valid frame was read
     Eof,           ///< orderly end of stream (peer closed the pipe)
     Interrupted,   ///< EINTR before any byte arrived (check drain flags)
-    Timeout,       ///< SO_RCVTIMEO expired (sockets only): peer stalled
     CorruptRecord, ///< checksum mismatch but stream still aligned: the
                    ///< reader may skip this one record and continue
     Corrupt,       ///< torn frame, mid-frame EOF or oversized length:
@@ -107,8 +95,7 @@ constexpr uint32_t kMaxFrameBytes = 64u << 20;
  * Write one frame to @p fd: header (payload length, type, FNV-1a
  * checksum of length + type + payload) then the payload, retrying
  * partial writes and EINTR. False on any write failure (EPIPE when the
- * peer died — call ignoreSigpipe() once per process first; EAGAIN when
- * an SO_SNDTIMEO timer expired on a stalled socket).
+ * peer died — call ignoreSigpipe() once per process first).
  */
 bool writeFrame(int fd, FrameType type, std::string_view payload);
 
@@ -127,19 +114,10 @@ ReadStatus readFrame(int fd, Frame *out);
  * Test hook: write a frame whose checksum is deliberately wrong but
  * whose length and type are valid, so the reader sees CorruptRecord
  * with the stream still aligned. Used by the corruption-recovery tests
- * and the `badframe`/`corruptframe` fault hooks; never by real traffic.
+ * and the `badframe` fault hook; never by real traffic.
  */
 bool writeCorruptFrameForTest(int fd, FrameType type,
                               std::string_view payload);
-
-/**
- * Test hook: write a frame's header, sleep @p millis, then write the
- * payload — a peer that stalls mid-frame. Drives the reader's
- * SO_RCVTIMEO Timeout path (the `stallframe` network fault); never
- * used by real traffic.
- */
-bool writeFrameStalledForTest(int fd, FrameType type,
-                              std::string_view payload, int millis);
 
 /** One spawned worker process and its two pipe ends (parent's view). */
 struct ChildProcess

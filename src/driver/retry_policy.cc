@@ -16,9 +16,6 @@ RetryPolicy::retryableKind(SimErrorKind kind)
       // supervisor re-dispatches the job to a fresh process until the
       // crash budget is exhausted.
       case SimErrorKind::WorkerCrash:
-      // Likewise for a lost daemon link: the remote pool reconnects or
-      // reassigns; the job itself is presumed innocent.
-      case SimErrorKind::LinkLost:
         return true;
       case SimErrorKind::None:
       case SimErrorKind::Config:

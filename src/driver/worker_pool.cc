@@ -1,13 +1,17 @@
 #include "driver/worker_pool.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <functional>
+#include <mutex>
 #include <optional>
+#include <string_view>
 #include <thread>
 
 #include <poll.h>
@@ -17,7 +21,6 @@
 #include "common/signal_drain.hh"
 #include "common/subprocess.hh"
 #include "driver/artifact_store.hh"
-#include "driver/shard_wire.hh"
 
 namespace vgiw
 {
@@ -44,27 +47,481 @@ envMsOverride(const char *name, uint64_t fallback)
  * corrupted length field took the framing with it. */
 constexpr unsigned kMaxConsecutiveCorrupt = 3;
 
+std::atomic<bool> g_mute_heartbeats{false};
+
+// ---------------------------------------------------------------------
+// Payload codecs. Native layout: the peers are fork()s of one process;
+// the frame layer adds length + checksum.
+
+enum : uint8_t
+{
+    kMsgOk = 1 << 0,
+    kMsgGolden = 1 << 1,
+    kMsgRan = 1 << 2,
+    kMsgSupported = 1 << 3,
+    kMsgQuarantined = 1 << 4,
+    kMsgDrained = 1 << 5,
+};
+
+void
+putString(ByteWriter &w, std::string_view s)
+{
+    w.u32(uint32_t(s.size()));
+    w.raw(s.data(), s.size());
+}
+
+bool
+getString(ByteReader &rd, std::string *out)
+{
+    const uint32_t len = rd.u32();
+    if (const uint8_t *p = rd.bytes(len)) {
+        out->assign(reinterpret_cast<const char *>(p), len);
+        return true;
+    }
+    return len == 0;
+}
+
+/** FrameType::Result payload, decoded. */
+struct ResultMsg
+{
+    uint64_t index = 0;
+    bool ok = false, golden = false, ran = false, supported = false;
+    bool quarantined = false, drained = false;
+    SimErrorKind kind = SimErrorKind::None;
+    uint32_t attempts = 1;
+    uint64_t cycles = 0;
+    double systemPj = 0.0;
+    double l1MissRate = 0.0;
+    std::string error;
+    std::string jsonLine;
+};
+
+std::string
+encodeResultMsg(uint64_t index, const JobResult &r,
+                std::string_view jsonLine)
+{
+    std::string payload;
+    ByteWriter w(payload);
+    w.u64(index);
+    uint8_t flags = 0;
+    if (r.ok())
+        flags |= kMsgOk;
+    if (r.goldenPassed)
+        flags |= kMsgGolden;
+    if (r.ran)
+        flags |= kMsgRan;
+    if (r.stats.supported)
+        flags |= kMsgSupported;
+    if (r.quarantined)
+        flags |= kMsgQuarantined;
+    if (r.drained)
+        flags |= kMsgDrained;
+    w.u8(flags);
+    w.u8(uint8_t(r.errorKind));
+    w.u32(r.attempts);
+    w.u64(r.stats.cycles);
+    w.f64(r.stats.energy.systemPj());
+    w.f64(r.stats.l1Stats.missRate());
+    putString(w, r.error);
+    putString(w, jsonLine);
+    return payload;
+}
+
+bool
+decodeResultMsg(const std::string &payload, ResultMsg *out)
+{
+    ByteReader rd(payload.data(), payload.size());
+    out->index = rd.u64();
+    const uint8_t flags = rd.u8();
+    out->ok = flags & kMsgOk;
+    out->golden = flags & kMsgGolden;
+    out->ran = flags & kMsgRan;
+    out->supported = flags & kMsgSupported;
+    out->quarantined = flags & kMsgQuarantined;
+    out->drained = flags & kMsgDrained;
+    out->kind = SimErrorKind(rd.u8());
+    out->attempts = rd.u32();
+    out->cycles = rd.u64();
+    out->systemPj = rd.f64();
+    out->l1MissRate = rd.f64();
+    if (!getString(rd, &out->error) || !getString(rd, &out->jsonLine))
+        return false;
+    return rd.done();
+}
+
+/** FrameType::Stats payload: final per-worker cache/store counters. */
+struct StatsMsg
+{
+    uint64_t functionalExecutions = 0;
+    uint64_t compilations = 0;
+    uint64_t storeHits = 0;
+    uint64_t storeMisses = 0;
+    uint64_t storeBytesMapped = 0;
+};
+
+std::string
+encodeStatsMsg(const StatsMsg &m)
+{
+    std::string payload;
+    ByteWriter w(payload);
+    w.u64(m.functionalExecutions);
+    w.u64(m.compilations);
+    w.u64(m.storeHits);
+    w.u64(m.storeMisses);
+    w.u64(m.storeBytesMapped);
+    return payload;
+}
+
+bool
+decodeStatsMsg(const std::string &payload, StatsMsg *out)
+{
+    ByteReader rd(payload.data(), payload.size());
+    out->functionalExecutions = rd.u64();
+    out->compilations = rd.u64();
+    out->storeHits = rd.u64();
+    out->storeMisses = rd.u64();
+    out->storeBytesMapped = rd.u64();
+    return rd.done();
+}
+
+// ---------------------------------------------------------------------
+// Test faults: VGIW_TEST_FAULT="<kind>:<n>[:<millis>]", armed inside a
+// worker when it reaches global job index n.
+
+struct TestFault
+{
+    enum class Kind
+    {
+        None,
+        Segv,
+        Kill,
+        Abort,
+        Stall,
+        Mute,
+        BadFrame, ///< emit one corrupt-checksum frame before job n
+    };
+    Kind kind = Kind::None;
+    uint64_t index = 0;
+    int millis = 0;
+};
+
+TestFault
+parseTestFault(const char *spec)
+{
+    TestFault f;
+    if (!spec || !*spec)
+        return f;
+    std::string s(spec);
+    const size_t c1 = s.find(':');
+    if (c1 == std::string::npos)
+        return f;
+    const std::string action = s.substr(0, c1);
+    const size_t c2 = s.find(':', c1 + 1);
+    const std::string idx = s.substr(
+        c1 + 1, c2 == std::string::npos ? std::string::npos : c2 - c1 - 1);
+    f.index = std::strtoull(idx.c_str(), nullptr, 10);
+    if (c2 != std::string::npos)
+        f.millis = int(std::strtoul(s.c_str() + c2 + 1, nullptr, 10));
+    if (action == "segv")
+        f.kind = TestFault::Kind::Segv;
+    else if (action == "kill")
+        f.kind = TestFault::Kind::Kill;
+    else if (action == "abort")
+        f.kind = TestFault::Kind::Abort;
+    else if (action == "stall")
+        f.kind = TestFault::Kind::Stall;
+    else if (action == "mute")
+        f.kind = TestFault::Kind::Mute;
+    else if (action == "badframe")
+        f.kind = TestFault::Kind::BadFrame;
+    return f;
+}
+
+/** Arm a process-kind fault on @p injector (the engine's Replay
+ * point). BadFrame is not an injector fault; the worker loop acts on it
+ * directly. */
+void
+armTestFault(const TestFault &f, FaultInjector &injector)
+{
+    using Point = FaultInjector::Point;
+    // The worker engine runs one job at a time, so the local index the
+    // injector sees is always 0.
+    switch (f.kind) {
+      case TestFault::Kind::Segv:
+        injector.armRaise(Point::Replay, 0, SIGSEGV);
+        break;
+      case TestFault::Kind::Kill:
+        injector.armRaise(Point::Replay, 0, SIGKILL);
+        break;
+      case TestFault::Kind::Abort:
+        injector.armRaise(Point::Replay, 0, SIGABRT);
+        break;
+      case TestFault::Kind::Stall:
+        injector.armStall(Point::Replay, 0, f.millis ? f.millis : 30000);
+        break;
+      case TestFault::Kind::Mute:
+        // A silent worker: alive and busy but no heartbeats — the
+        // supervisor's timeout, not waitpid, has to catch this one.
+        g_mute_heartbeats.store(true, std::memory_order_relaxed);
+        injector.armStall(Point::Replay, 0, f.millis ? f.millis : 30000);
+        break;
+      case TestFault::Kind::None:
+      case TestFault::Kind::BadFrame:
+        break;  // not an injector fault; the worker loop emits it
+    }
+}
+
+// ---------------------------------------------------------------------
+// The worker body and the coordinator's scheduling structure.
+
+/**
+ * The forked worker's main loop: read Job frames carrying u64 indices
+ * into @p jobs, run each through a worker-lifetime ExperimentEngine,
+ * stream back Result frames rendered with ResultTable::renderRow (the
+ * byte-identity contract), heartbeat from a side thread, send a final
+ * Stats frame, honour Shutdown/EOF/drain. Returns the worker exit code.
+ */
+int
+runShardWorker(int in_fd, int out_fd,
+               const std::vector<ExperimentJob> &jobs,
+               const ShardOptions &opts)
+{
+    ignoreSigpipe();
+    installDrainHandlers();
+
+    // Liveness breadcrumb for orphan-detection tests: present while
+    // the worker runs, removed on clean exit. A crash leaves a stale
+    // file whose pid no longer exists — which is exactly the
+    // distinction the no-orphans check needs.
+    std::string pidfile;
+    if (const char *dir = std::getenv("VGIW_SHARD_PIDFILE_DIR");
+        dir && *dir) {
+        pidfile = std::string(dir) + "/worker-" +
+                  std::to_string(::getpid()) + ".alive";
+        if (std::FILE *f = std::fopen(pidfile.c_str(), "w")) {
+            std::fprintf(f, "%d\n", int(::getpid()));
+            std::fclose(f);
+        }
+    }
+
+    const TestFault fault = parseTestFault(std::getenv("VGIW_TEST_FAULT"));
+
+    FaultInjector injector;
+    MetricsCollector collector;
+    EngineOptions eopts;
+    eopts.jobs = 1;
+    eopts.retry = opts.retry;
+    eopts.artifactStore = opts.artifactStore;
+    eopts.injector = &injector;
+    eopts.stop = &drainFlag();
+    if (opts.collectMetrics)
+        eopts.metrics = &collector;
+    // One engine for the worker's lifetime: its trace/compile caches
+    // persist across jobs, so a worker that sees a workload twice
+    // traces it once — and with a shared artifact store, the whole
+    // fleet traces it once.
+    ExperimentEngine engine(eopts);
+
+    // The heartbeat thread shares the result fd; a mutex keeps frames
+    // from interleaving mid-write.
+    std::mutex write_mu;
+    std::atomic<bool> beat_stop{false};
+    std::thread beater([&]() {
+        const auto interval =
+            std::chrono::milliseconds(opts.heartbeatIntervalMs);
+        auto next = Clock::now();
+        while (!beat_stop.load(std::memory_order_acquire)) {
+            if (!g_mute_heartbeats.load(std::memory_order_relaxed)) {
+                std::lock_guard<std::mutex> lock(write_mu);
+                writeFrame(out_fd, FrameType::Heartbeat, {});
+            }
+            next += interval;
+            // Sleep in short slices so shutdown never waits a full
+            // interval.
+            while (!beat_stop.load(std::memory_order_acquire) &&
+                   Clock::now() < next) {
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(20));
+            }
+        }
+    });
+
+    int rc = 0;
+    for (;;) {
+        if (drainRequested())
+            break;
+        Frame frame;
+        const ReadStatus st = readFrame(in_fd, &frame);
+        if (st == ReadStatus::Interrupted)
+            continue;  // a signal landed; the loop re-checks the drain
+        if (st == ReadStatus::Eof)
+            break;  // coordinator closed the pipe: orderly exit
+        if (st != ReadStatus::Ok) {
+            rc = 1;  // Corrupt / Error: desynchronised coordinator.
+                     // (CorruptRecord too: a worker cannot skip a Job
+                     // frame — the coordinator would believe the job
+                     // is owned. Dying hands it back for re-dispatch.)
+            break;
+        }
+        if (frame.type == FrameType::Shutdown)
+            break;
+        if (frame.type != FrameType::Job)
+            continue;
+
+        ByteReader rd(frame.payload.data(), frame.payload.size());
+        const uint64_t index = rd.u64();
+        if (!rd.done() || index >= jobs.size()) {
+            rc = 1;
+            break;
+        }
+        if (fault.kind == TestFault::Kind::BadFrame &&
+            fault.index == index) {
+            // Corruption-recovery drill: one checksum-bad (but
+            // length-valid) frame ahead of the real result. The
+            // supervisor must skip exactly this record, count it, and
+            // parse everything after it.
+            std::lock_guard<std::mutex> lock(write_mu);
+            writeCorruptFrameForTest(out_fd, FrameType::Heartbeat,
+                                     "corrupt-record-drill");
+        } else if (fault.kind != TestFault::Kind::None &&
+                   fault.index == index) {
+            armTestFault(fault, injector);
+        }
+        if (opts.workerPreJob)
+            opts.workerPreJob(size_t(index));
+
+        auto results = engine.run({jobs[index]});
+        const JobResult &r = results[0];
+        const std::string_view line = engine.resultTable().renderRow(0);
+        const std::string payload = encodeResultMsg(index, r, line);
+        {
+            std::lock_guard<std::mutex> lock(write_mu);
+            if (!writeFrame(out_fd, FrameType::Result, payload)) {
+                rc = 1;  // coordinator is gone; nothing left to do
+                break;
+            }
+        }
+        if (r.drained)
+            break;
+    }
+
+    // Final counters — sent even on drain so the coordinator's summary
+    // covers what this worker did before stopping.
+    StatsMsg stats;
+    stats.functionalExecutions =
+        engine.traceCache().functionalExecutions();
+    stats.compilations = engine.compileCache().compilations();
+    if (opts.artifactStore) {
+        stats.storeHits = opts.artifactStore->hits();
+        stats.storeMisses = opts.artifactStore->misses();
+        stats.storeBytesMapped = opts.artifactStore->bytesMapped();
+    }
+    {
+        std::lock_guard<std::mutex> lock(write_mu);
+        writeFrame(out_fd, FrameType::Stats, encodeStatsMsg(stats));
+    }
+    beat_stop.store(true, std::memory_order_release);
+    beater.join();
+    if (!pidfile.empty())
+        ::unlink(pidfile.c_str());
+    return rc;
+}
+
+/**
+ * Round-robin per-worker job queues with work stealing: a worker that
+ * drains its own queue steals from the *back* of the longest other
+ * queue — the victim keeps its front (likely warm in its worker's
+ * caches), the thief takes the tail.
+ */
+class JobQueues
+{
+  public:
+    explicit JobQueues(size_t workers) : queues_(workers) {}
+
+    /** Deal @p jobs round-robin across the queues. */
+    void
+    deal(const std::vector<size_t> &jobs)
+    {
+        for (size_t k = 0; k < jobs.size(); ++k)
+            queues_[k % queues_.size()].push_back(jobs[k]);
+    }
+
+    /** Requeue at the front: a re-dispatched job keeps priority. */
+    void pushFront(size_t q, size_t job) { queues_[q].push_front(job); }
+
+    bool
+    anyWork() const
+    {
+        for (const auto &q : queues_)
+            if (!q.empty())
+                return true;
+        return false;
+    }
+
+    /** Take the next job for worker @p q: own front, else steal from
+     * the longest other queue's back (counting it in @p steals). */
+    std::optional<size_t>
+    take(size_t q, uint64_t *steals)
+    {
+        if (!queues_[q].empty()) {
+            const size_t j = queues_[q].front();
+            queues_[q].pop_front();
+            return j;
+        }
+        size_t victim = queues_.size();
+        for (size_t o = 0; o < queues_.size(); ++o) {
+            if (o == q || queues_[o].empty())
+                continue;
+            if (victim == queues_.size() ||
+                queues_[o].size() > queues_[victim].size())
+                victim = o;
+        }
+        if (victim == queues_.size())
+            return std::nullopt;
+        const size_t j = queues_[victim].back();
+        queues_[victim].pop_back();
+        if (steals)
+            ++*steals;
+        return j;
+    }
+
+    /** Drain every queue, invoking @p fn on each queued job. */
+    template <typename Fn>
+    void
+    drainAll(Fn &&fn)
+    {
+        for (auto &q : queues_) {
+            for (size_t j : q)
+                fn(j);
+            q.clear();
+        }
+    }
+
+  private:
+    std::vector<std::deque<size_t>> queues_;
+};
+
 } // namespace
+
+void
+muteWorkerHeartbeatsForTest(bool mute)
+{
+    g_mute_heartbeats.store(mute, std::memory_order_relaxed);
+}
 
 std::string
 SupervisorStats::countersJson() const
 {
-    char buf[384];
+    char buf[256];
     std::snprintf(buf, sizeof buf,
                   "{\"supervisor.corrupt_frames\":%llu,"
                   "\"supervisor.crashes\":%llu,"
-                  "\"supervisor.fallback_jobs\":%llu,"
                   "\"supervisor.heartbeat_misses\":%llu,"
-                  "\"supervisor.link_losses\":%llu,"
-                  "\"supervisor.reconnects\":%llu,"
                   "\"supervisor.restarts\":%llu,"
                   "\"supervisor.steals\":%llu}",
                   (unsigned long long)corruptFrames,
                   (unsigned long long)crashes,
-                  (unsigned long long)fallbackJobs,
                   (unsigned long long)heartbeatMisses,
-                  (unsigned long long)linkLosses,
-                  (unsigned long long)reconnects,
                   (unsigned long long)restarts,
                   (unsigned long long)steals);
     return buf;
@@ -314,18 +771,12 @@ ShardSupervisor::run(const std::vector<ExperimentJob> &jobs)
             other_fds.push_back(o.cp.toChild);
             other_fds.push_back(o.cp.fromChild);
         }
-        ShardWorkerOptions wopts;
-        wopts.retry = opts_.retry;
-        wopts.collectMetrics = opts_.collectMetrics;
-        wopts.artifactStore = opts_.artifactStore;
-        wopts.heartbeatIntervalMs = opts_.heartbeatIntervalMs;
-        wopts.preJob = opts_.workerPreJob;
         std::string err;
         const bool ok = spawnChild(
-            [&jobs, other_fds, wopts](int in_fd, int out_fd) {
+            [this, &jobs, &other_fds](int in_fd, int out_fd) {
                 for (int fd : other_fds)
                     ::close(fd);
-                return runShardWorker(in_fd, out_fd, jobs, wopts);
+                return runShardWorker(in_fd, out_fd, jobs, opts_);
             },
             &s.cp, &err);
         if (!ok) {

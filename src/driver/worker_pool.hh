@@ -39,6 +39,11 @@
  * read/write across the fleet: publication is atomic-rename, loads
  * validate checksums, so concurrent workers warm-start from and feed
  * the same store — a warm sharded sweep traces and compiles nothing.
+ *
+ * The Result/Stats payload codecs, the worker main loop, the per-worker
+ * job queues and the VGIW_TEST_FAULT=<segv|kill|abort|stall|mute|
+ * badframe>:<job> hook are private to worker_pool.cc: the fork()ed
+ * worker and the coordinator are the protocol's only two parties.
  */
 
 #ifndef VGIW_DRIVER_WORKER_POOL_HH
@@ -52,7 +57,6 @@
 
 #include "common/sim_error.hh"
 #include "driver/experiment_engine.hh"
-#include "driver/shard_wire.hh"
 
 namespace vgiw
 {
@@ -98,12 +102,6 @@ struct SupervisorStats
     uint64_t steals = 0;          ///< jobs taken from another shard's queue
     uint64_t heartbeatMisses = 0; ///< silent workers killed by timeout
     uint64_t corruptFrames = 0;   ///< checksum-bad records skipped in-stream
-
-    // Remote transport counters (RemotePool; always 0 for the pipe
-    // supervisor, but part of the one stable counter surface).
-    uint64_t reconnects = 0;   ///< successful re-connects after a loss
-    uint64_t linkLosses = 0;   ///< connections lost/refused/stalled
-    uint64_t fallbackJobs = 0; ///< jobs finished by the local fallback
 
     // Summed from each worker's final Stats frame (workers that crash
     // never report; these are a floor, used for the summary line).
@@ -208,8 +206,12 @@ class ShardSupervisor
     SupervisorStats stats_;
 };
 
-// muteWorkerHeartbeatsForTest and the worker main loop moved to
-// driver/shard_wire.hh — the daemon's local fleet forks the same body.
+/**
+ * Test hook (worker-process side): suppress heartbeat frames so the
+ * coordinator's heartbeat timeout path can be exercised without
+ * wedging the worker for real.
+ */
+void muteWorkerHeartbeatsForTest(bool mute);
 
 } // namespace vgiw
 

@@ -1,6 +1,7 @@
 #include "simt/simt_stack.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -30,8 +31,10 @@ SimtStack::advance(const std::array<int, 32> &lane_succ,
     stack_.pop_back();
 
     // Partition the active lanes by successor block; exited lanes drop
-    // out of the mask entirely.
-    std::vector<std::pair<int, uint32_t>> groups;  // (succ, mask)
+    // out of the mask entirely. A 32-lane warp has at most 32 successor
+    // groups, so a fixed array keeps replay allocation-free.
+    std::array<std::pair<int, uint32_t>, 32> groups;  // (succ, mask)
+    size_t ngroups = 0;
     for (int lane = 0; lane < 32; ++lane) {
         if (!((e.mask >> lane) & 1))
             continue;
@@ -40,22 +43,22 @@ SimtStack::advance(const std::array<int, 32> &lane_succ,
                     "active lane reported as inactive");
         if (succ == kLaneExit)
             continue;
-        auto it = std::find_if(groups.begin(), groups.end(),
-                               [succ](const auto &g) {
-                                   return g.first == succ;
-                               });
-        if (it == groups.end())
-            groups.emplace_back(succ, uint32_t(1) << lane);
+        const auto end = groups.begin() + ngroups;
+        auto it = std::find_if(groups.begin(), end, [succ](const auto &g) {
+            return g.first == succ;
+        });
+        if (it == end)
+            groups[ngroups++] = {succ, uint32_t(1) << lane};
         else
             it->second |= uint32_t(1) << lane;
     }
 
-    if (groups.empty()) {
+    if (ngroups == 0) {
         dropEmptyTop();
         return;
     }
 
-    if (groups.size() == 1) {
+    if (ngroups == 1) {
         auto [succ, mask] = groups.front();
         bool merged = false;
         if (succ == e.rpc) {
@@ -102,11 +105,12 @@ SimtStack::advance(const std::array<int, 32> &lane_succ,
     // Push target entries, larger block IDs first so the smallest block
     // ID executes first (matching GPGPU taken-path-first scheduling and
     // keeping loop bodies before loop exits).
-    std::sort(groups.begin(), groups.end(),
+    std::sort(groups.begin(), groups.begin() + ngroups,
               [](const auto &a, const auto &b) {
                   return a.first > b.first;
               });
-    for (auto [succ, mask] : groups) {
+    for (size_t g = 0; g < ngroups; ++g) {
+        const auto [succ, mask] = groups[g];
         if (reconv >= 0 && succ == rpc)
             stack_[size_t(reconv)].mask |= mask;
         else

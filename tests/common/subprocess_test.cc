@@ -1,14 +1,12 @@
 /**
  * @file
  * Subprocess-layer tests: frames round-trip over real pipes (including
- * a one-byte-at-a-time feed — the short-read case TCP produces
- * constantly), corruption is graded correctly (checksum mismatch on an
- * aligned record reads as CorruptRecord and leaves the next frame
- * parseable; torn frames, oversized lengths and mid-frame peer death
- * read as Corrupt), SO_RCVTIMEO expiry surfaces as Timeout, and
- * spawnChild/waitChild classify clean exits and signal deaths
- * correctly. Fork-based: these suites are deliberately outside the
- * sanitizer allowlist filters.
+ * a one-byte-at-a-time feed), corruption is graded correctly (checksum
+ * mismatch on an aligned record reads as CorruptRecord and leaves the
+ * next frame parseable; torn frames, oversized lengths and mid-frame
+ * peer death read as Corrupt), and spawnChild/waitChild classify clean
+ * exits and signal deaths correctly. Fork-based: these suites are
+ * deliberately outside the sanitizer allowlist filters.
  */
 
 #include <gtest/gtest.h>
@@ -18,10 +16,8 @@
 #include <string>
 #include <thread>
 
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include "common/net.hh"
 #include "common/subprocess.hh"
 
 namespace vgiw
@@ -109,8 +105,8 @@ TEST(Subprocess, ClosedPipeReadsAsEofOnFrameBoundary)
 
 TEST(Subprocess, OneByteAtATimeFeedReassembles)
 {
-    // TCP (and a pathological pipe writer) may deliver a frame in
-    // arbitrarily small pieces; readFrame must loop over short reads
+    // A pathological pipe writer may deliver a frame in arbitrarily
+    // small pieces; readFrame must loop over short reads
     // until the header and payload are complete. Feed a frame one byte
     // at a time from a writer thread while the reader blocks.
     Pipe p;
@@ -195,33 +191,6 @@ TEST(Subprocess, CorruptFrameForTestReadsAsCorruptRecord)
     EXPECT_EQ(readFrame(p.readEnd(), &f), ReadStatus::CorruptRecord);
     EXPECT_EQ(readFrame(p.readEnd(), &f), ReadStatus::Ok);
     EXPECT_EQ(f.payload, "after");
-}
-
-TEST(Subprocess, SocketRecvTimeoutSurfacesAsTimeout)
-{
-    // A stalled TCP peer must surface as Timeout (via SO_RCVTIMEO),
-    // not hang the reader. Pipes never set timeouts, so sockets are
-    // the only transport that sees this status.
-    int sv[2] = {-1, -1};
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-    ASSERT_TRUE(setSocketTimeouts(sv[0], /*recvMs=*/50, /*sendMs=*/0));
-
-    Frame f;
-    EXPECT_EQ(readFrame(sv[0], &f), ReadStatus::Timeout);
-
-    // Mid-frame stall: send only part of a frame, then nothing.
-    Pipe capture;
-    ASSERT_TRUE(writeFrame(capture.writeEnd(), FrameType::Result,
-                           std::string(100, 'q')));
-    capture.closeWrite();
-    char buf[160];
-    const ssize_t n = ::read(capture.readEnd(), buf, sizeof buf);
-    ASSERT_GT(n, 20);
-    ASSERT_EQ(::write(sv[1], buf, size_t(n) / 2), n / 2);
-    EXPECT_EQ(readFrame(sv[0], &f), ReadStatus::Timeout);
-
-    ::close(sv[0]);
-    ::close(sv[1]);
 }
 
 TEST(Subprocess, MidFramePeerDeathIsCorruptNotEof)

@@ -323,17 +323,32 @@ TEST(ArtifactStoreRace, FlippedByteUnderRepublishRace)
     ASSERT_TRUE(store.publish("t", key, payload));
     const std::string obj = store.objectPath("t", key);
 
-    // Corrupt the blob, then race two healers: each sees the
-    // checksum-mismatch miss and republishes. Concurrent republication
-    // over a corrupt object must leave exactly one valid blob.
+    // Corrupt the blob: the checksum mismatch must demote to a miss.
+    // Checked once, here, before any healer can republish over it.
     flipByteAt(obj, 1111);
+    {
+        ArtifactStore s;
+        ASSERT_TRUE(s.open(dir.path));
+        ArtifactStore::Blob b;
+        ASSERT_FALSE(s.load("t", key, &b));
+    }
+
+    // Race two healers. A healer that still sees the corrupt object
+    // republishes; one that loses the race may find the other's blob
+    // already healed, and then it must be intact. Concurrent
+    // republication over a corrupt object must leave exactly one valid
+    // blob.
     auto healer = [&]() -> int {
         ArtifactStore s;
         if (!s.open(dir.path))
             return 2;
         ArtifactStore::Blob b;
-        if (s.load("t", key, &b))
-            return 3;  // the corruption must demote to a miss
+        if (s.load("t", key, &b)) {
+            const bool intact =
+                b.size == payload.size() &&
+                std::memcmp(b.payload, payload.data(), b.size) == 0;
+            return intact ? 0 : 3;
+        }
         return s.publish("t", key, payload) ? 0 : 1;
     };
     const pid_t child = forkChild(healer);

@@ -288,16 +288,10 @@ TEST(ShardSupervisor, CounterNamesAreAStableSurface)
     st.steals = 3;
     st.heartbeatMisses = 4;
     st.corruptFrames = 5;
-    st.reconnects = 6;
-    st.linkLosses = 7;
-    st.fallbackJobs = 8;
     EXPECT_EQ(st.countersJson(),
               "{\"supervisor.corrupt_frames\":5,"
               "\"supervisor.crashes\":2,"
-              "\"supervisor.fallback_jobs\":8,"
               "\"supervisor.heartbeat_misses\":4,"
-              "\"supervisor.link_losses\":7,"
-              "\"supervisor.reconnects\":6,"
               "\"supervisor.restarts\":1,"
               "\"supervisor.steals\":3}");
 }

@@ -19,14 +19,27 @@ file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 file(MAKE_DIRECTORY "${pids}")
 
-# The full 3-arch suite is long enough that a signal 2 s in lands
-# mid-sweep on any machine.
+# Signal as soon as the journal holds its header and one completed job:
+# the sweep is then provably under way with most of its 84 jobs still
+# queued, however fast the machine. (A fixed sleep raced the sweep's
+# own completion on fast hosts.) The poll gives up after 60 s and
+# signals anyway, so a wedged sweep fails on the exit code, not on the
+# ctest timeout.
+set(journal "${WORKDIR}/drain.journal.jsonl")
 execute_process(
     COMMAND ${BASH} -c
             "VGIW_SHARD_PIDFILE_DIR='${pids}' \
-             '${BIN}' --suite --shards 2 --json '${WORKDIR}/drain.json' \
+             '${BIN}' --suite --shards 2 --journal '${journal}' \
+             --json '${WORKDIR}/drain.json' \
              > '${WORKDIR}/stdout.txt' 2> '${WORKDIR}/stderr.txt' & \
-             pid=$!; sleep 2; kill -TERM $pid; wait $pid"
+             pid=$!; \
+             for i in $(seq 1 6000); do \
+                 n=$(wc -l < '${journal}' 2>/dev/null || echo 0); \
+                 [ \"$n\" -ge 2 ] && break; \
+                 kill -0 $pid 2>/dev/null || break; \
+                 sleep 0.01; \
+             done; \
+             kill -TERM $pid; wait $pid"
     RESULT_VARIABLE rc)
 if (NOT rc EQUAL 4)
     file(READ "${WORKDIR}/stderr.txt" err)

@@ -15,7 +15,6 @@
  *            [--journal <file>] [--resume] [--retries N]
  *            [--artifact-dir <dir>]
  *            [--shards N] [--shard-deadline-ms N]
- *   vgiw_run --suite --workers host:port[,host:port...] [...]
  *   vgiw_run [--suite|--workload ...] --dry-run
  *
  * Single-workload mode runs one Table 2 workload (functional execution
@@ -66,24 +65,11 @@
  * a single-process run; SIGINT/SIGTERM drain the whole fleet with no
  * orphaned workers.
  *
- * Remote sweeps: --workers host:port[,host:port...] dispatches the
- * suite across vgiw_sweepd daemons (src/driver/remote_pool,
- * DESIGN.md §16) instead of local processes. Each daemon is treated
- * like a shard: heartbeat timeouts, per-job deadlines, jittered
- * reconnect backoff, in-flight reassignment on link loss (exactly
- * once, via the same jobKey + journal machinery as --resume), and a
- * consecutive-failure budget after which the worker is quarantined.
- * When every remote is quarantined the remaining jobs finish locally
- * and the run exits 5. Surviving jobs' --json lines stay
- * byte-identical to a single-process run.
- *
  * Exit codes: 0 every job succeeded; 2 usage or configuration error
  * (nothing ran); 3 the run completed but some jobs failed (golden
  * mismatch, compile error, watchdog, panic); 4 the run was interrupted
- * (SIGINT/SIGTERM) and drained gracefully; 5 the sweep completed but
- * only by degrading to local execution (every --workers remote was
- * quarantined); 1 results could not be written to the --json path or
- * the journal.
+ * (SIGINT/SIGTERM) and drained gracefully; 1 results could not be
+ * written to the --json path or the journal.
  */
 
 #include <algorithm>
@@ -92,18 +78,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/atomic_file.hh"
-#include "common/net.hh"
 #include "common/signal_drain.hh"
 #include "common/sim_error.hh"
 #include "common/watchdog.hh"
 #include "driver/artifact_store.hh"
 #include "driver/experiment_engine.hh"
-#include "driver/remote_pool.hh"
 #include "driver/result_journal.hh"
 #include "driver/result_table.hh"
 #include "driver/worker_pool.hh"
@@ -146,10 +129,7 @@ constexpr FlagSpec kFlags[] = {
      "not the sweep (--suite)"},
     {"--shard-deadline-ms", "<n>",
      "kill a shard worker whose job runs longer than n wall-clock ms "
-     "(--shards/--workers)"},
-    {"--workers", "<host:port,...>",
-     "dispatch the sweep to remote vgiw_sweepd daemons; lost links "
-     "are reassigned, dead fleets degrade to local (--suite)"},
+     "(--shards)"},
     {"--json", "<file>",
      "also write one JSON object per result (JSON lines)"},
     {"--metrics", nullptr,
@@ -209,8 +189,6 @@ usage()
         "     compile error, watchdog trip, internal error)\n"
         "  4  interrupted (SIGINT/SIGTERM): drained gracefully,\n"
         "     journal flushed; resume with --journal --resume\n"
-        "  5  completed, but only by degrading to local execution\n"
-        "     (every --workers remote was quarantined)\n"
         "  1  results could not be written to the --json path, the\n"
         "     --trace-out path or the journal\n");
 }
@@ -335,56 +313,6 @@ writeTrace(const std::string &path, const MetricsCollector &collector)
     return true;
 }
 
-/** Tallies of the terminal-row classes the report loop counts. */
-struct ShardRowTally
-{
-    size_t restored = 0;
-    size_t drained = 0;
-    size_t quarantined = 0;
-};
-
-/** The supervised-sweep result table (shared verbatim by --shards and
- * --workers so the two transports cannot drift in output format). */
-ShardRowTally
-printShardRows(const std::vector<ShardRow> &rows)
-{
-    ShardRowTally t;
-    std::printf("%-28s %-6s %12s %11s %9s %9s\n", "workload", "arch",
-                "cycles", "energy nJ", "L1 miss", "golden");
-    for (const auto &r : rows) {
-        if (r.drained) {
-            ++t.drained;
-            std::printf("%-28s %-6s %44s\n", r.workload.c_str(),
-                        r.arch.c_str(), "not run (drained)");
-            continue;
-        }
-        t.restored += r.restored;
-        t.quarantined += r.quarantined;
-        if (r.restored && r.ok) {
-            std::printf("%-28s %-6s %44s\n", r.workload.c_str(),
-                        r.arch.c_str(), "ok (restored)");
-            continue;
-        }
-        if (!r.ok) {
-            std::printf("%-28s %-6s %44s\n", r.workload.c_str(),
-                        r.arch.c_str(),
-                        r.quarantined ? "QUARANTINED" : "SKIPPED");
-            continue;
-        }
-        if (!r.supported) {
-            std::printf("%-28s %-6s %44s\n", r.workload.c_str(),
-                        r.arch.c_str(), "unsupported");
-            continue;
-        }
-        std::printf("%-28s %-6s %12llu %11.1f %8.1f%% %9s\n",
-                    r.workload.c_str(), r.arch.c_str(),
-                    (unsigned long long)r.cycles,
-                    r.energySystemPj / 1e3, 100.0 * r.l1MissRate,
-                    r.golden ? "ok" : "FAIL");
-    }
-    return t;
-}
-
 } // namespace
 
 int
@@ -399,8 +327,6 @@ main(int argc, char **argv)
     unsigned jobs = 0, retries = 0, shards = 0;
     uint64_t shard_deadline_ms = 0;
     bool shards_set = false, shard_deadline_set = false;
-    std::string workers_csv;
-    bool workers_set = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
@@ -429,9 +355,6 @@ main(int argc, char **argv)
         } else if (a == "--shard-deadline-ms") {
             shard_deadline_ms = parseCount(a, next());
             shard_deadline_set = true;
-        } else if (a == "--workers") {
-            workers_csv = next();
-            workers_set = true;
         } else if (a == "--json") {
             json_path = next();
         } else if (a == "--metrics") {
@@ -519,52 +442,9 @@ main(int argc, char **argv)
                      "--shards and --trace-out are mutually exclusive\n");
         return 2;
     }
-    if (shard_deadline_set && !shards_set && !workers_set) {
-        std::fprintf(stderr,
-                     "--shard-deadline-ms requires --shards or "
-                     "--workers\n");
+    if (shard_deadline_set && !shards_set) {
+        std::fprintf(stderr, "--shard-deadline-ms requires --shards\n");
         return 2;
-    }
-    std::vector<HostPort> remote_workers;
-    if (workers_set) {
-        if (!suite) {
-            std::fprintf(stderr,
-                         "--workers is only meaningful with --suite\n");
-            return 2;
-        }
-        if (shards_set) {
-            std::fprintf(stderr,
-                         "--workers and --shards are mutually "
-                         "exclusive\n");
-            return 2;
-        }
-        if (!trace_path.empty()) {
-            // Same rationale as --shards: spans live (and die) in the
-            // remote daemons' worker processes.
-            std::fprintf(stderr,
-                         "--workers and --trace-out are mutually "
-                         "exclusive\n");
-            return 2;
-        }
-        std::stringstream ss(workers_csv);
-        std::string spec;
-        while (std::getline(ss, spec, ',')) {
-            HostPort hp;
-            std::string err;
-            if (spec.empty() || !parseHostPort(spec, &hp, &err)) {
-                std::fprintf(stderr, "--workers '%s': %s\n",
-                             spec.c_str(),
-                             spec.empty() ? "empty endpoint"
-                                          : err.c_str());
-                return 2;
-            }
-            remote_workers.push_back(std::move(hp));
-        }
-        if (remote_workers.empty()) {
-            std::fprintf(stderr,
-                         "--workers needs at least one host:port\n");
-            return 2;
-        }
     }
 
     SystemConfig cfg;
@@ -703,10 +583,40 @@ main(int argc, char **argv)
             auto rows = sup.run(suite_jobs);
             const SupervisorStats &st = sup.stats();
 
-            const ShardRowTally tally = printShardRows(rows);
-            const size_t restored = tally.restored;
-            const size_t drained = tally.drained;
-            const size_t quarantined = tally.quarantined;
+            size_t restored = 0, drained = 0, quarantined = 0;
+            std::printf("%-28s %-6s %12s %11s %9s %9s\n", "workload",
+                        "arch", "cycles", "energy nJ", "L1 miss", "golden");
+            for (const auto &r : rows) {
+                if (r.drained) {
+                    ++drained;
+                    std::printf("%-28s %-6s %44s\n", r.workload.c_str(),
+                                r.arch.c_str(), "not run (drained)");
+                    continue;
+                }
+                restored += r.restored;
+                quarantined += r.quarantined;
+                if (r.restored && r.ok) {
+                    std::printf("%-28s %-6s %44s\n", r.workload.c_str(),
+                                r.arch.c_str(), "ok (restored)");
+                    continue;
+                }
+                if (!r.ok) {
+                    std::printf("%-28s %-6s %44s\n", r.workload.c_str(),
+                                r.arch.c_str(),
+                                r.quarantined ? "QUARANTINED" : "SKIPPED");
+                    continue;
+                }
+                if (!r.supported) {
+                    std::printf("%-28s %-6s %44s\n", r.workload.c_str(),
+                                r.arch.c_str(), "unsupported");
+                    continue;
+                }
+                std::printf("%-28s %-6s %12llu %11.1f %8.1f%% %9s\n",
+                            r.workload.c_str(), r.arch.c_str(),
+                            (unsigned long long)r.cycles,
+                            r.energySystemPj / 1e3, 100.0 * r.l1MissRate,
+                            r.golden ? "ok" : "FAIL");
+            }
             // Trace/compile work happened in the workers; their final
             // Stats frames are the only census of it.
             std::printf("\n%zu results, %d failures (traced %llu "
@@ -754,92 +664,6 @@ main(int argc, char **argv)
                 return 1;
             if (drainRequested())
                 return 4;
-            return failures ? 3 : 0;
-        }
-
-        if (workers_set) {
-            // Remote mode: each vgiw_sweepd daemon is a shard slot.
-            // Link losses reassign in-flight jobs exactly once; a
-            // fully-quarantined fleet degrades to local execution
-            // (exit 5).
-            RemoteOptions ropts;
-            ropts.workers = remote_workers;
-            ropts.retry.maxAttempts = 1 + retries;
-            ropts.jobDeadlineMs = shard_deadline_ms;
-            ropts.collectMetrics = metrics_on;
-            ropts.journal = journal_path.empty() ? nullptr : &journal;
-            ropts.artifactStore =
-                artifact_dir.empty() ? nullptr : &store;
-            ropts.stop = &drainFlag();
-            ropts.onFailure = [&failures](const ShardRow &r) {
-                ++failures;
-                std::fprintf(stderr, "FAILED %s [%s]: %s\n",
-                             r.workload.c_str(), r.arch.c_str(),
-                             r.error.c_str());
-            };
-            std::string archs_csv;
-            for (const auto &a : archs) {
-                if (!archs_csv.empty())
-                    archs_csv += ',';
-                archs_csv += a;
-            }
-            ropts.hello.archsCsv = archs_csv;
-            ropts.hello.lvcBytes = vcfg.lvcBytes;
-            ropts.hello.cvtCapacityBits = vcfg.cvtCapacityBits;
-            ropts.hello.enableReplication = vcfg.enableReplication;
-            ropts.hello.enableMemoryCoalescing =
-                vcfg.enableMemoryCoalescing;
-            ropts.hello.maxReplayCycles = wd.maxReplayCycles;
-            ropts.hello.deadlineMs = wd.deadlineMs;
-            ropts.hello.artifactDir = artifact_dir;
-
-            RemotePool pool(ropts);
-            auto rows = pool.run(suite_jobs);
-            const SupervisorStats &st = pool.stats();
-
-            const ShardRowTally tally = printShardRows(rows);
-            std::printf("\n%zu results, %d failures (traced %llu "
-                        "workloads once each, %llu compilations)\n",
-                        rows.size(), failures,
-                        (unsigned long long)st.functionalExecutions,
-                        (unsigned long long)st.compilations);
-            if (tally.restored)
-                std::printf("%zu restored from the journal\n",
-                            tally.restored);
-            if (tally.quarantined)
-                std::printf("%zu quarantined after exhausting retries\n",
-                            tally.quarantined);
-            if (tally.drained)
-                std::printf("%zu not run: interrupted%s\n",
-                            tally.drained,
-                            journal_path.empty()
-                                ? ""
-                                : "; resume with --journal --resume");
-            std::printf("remote: %llu reconnects, %llu link losses, "
-                        "%llu crashes, %llu fallback jobs\n",
-                        (unsigned long long)st.reconnects,
-                        (unsigned long long)st.linkLosses,
-                        (unsigned long long)st.crashes,
-                        (unsigned long long)st.fallbackJobs);
-            if (metrics_on)
-                std::printf("supervisor metrics: %s\n",
-                            st.countersJson().c_str());
-
-            bool io_failed = false;
-            if (!json_path.empty() &&
-                !writeJson(json_path, pool.resultTable()))
-                io_failed = true;
-            journal.close();
-            if (std::string jerr = journal.writeError(); !jerr.empty()) {
-                std::fprintf(stderr, "journal: %s\n", jerr.c_str());
-                io_failed = true;
-            }
-            if (io_failed)
-                return 1;
-            if (drainRequested())
-                return 4;
-            if (pool.degradedToLocal() && failures == 0)
-                return 5;
             return failures ? 3 : 0;
         }
 
