@@ -49,7 +49,6 @@
 #include <filesystem>
 
 #include "bench_util.hh"
-#include "common/bitops.hh"
 #include "common/json.hh"
 #include "driver/artifact_store.hh"
 #include "driver/experiment_engine.hh"
@@ -439,12 +438,10 @@ main(int argc, char **argv)
     // host core count and the engine's actual worker count are distinct
     // facts (--jobs can pin the latter), so both are recorded.
     std::fprintf(f,
-                 "  \"host\": {\"cpu_model\": \"%s\", \"cores\": %u, "
-                 "\"simd_backend\": \"%s\"},\n"
+                 "  \"host\": {\"cpu_model\": \"%s\", \"cores\": %u},\n"
                  "  \"engine_workers\": %u,\n",
                  vgiw::jsonEscape(cpuModelName()).c_str(),
                  std::thread::hardware_concurrency(),
-                 vgiw::bitops::backendName(),
                  jobs ? jobs : std::thread::hardware_concurrency());
     std::fprintf(f, "  \"runs\": [\n");
     for (size_t i = 0; i < runs.size(); ++i) {

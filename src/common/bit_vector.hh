@@ -1,14 +1,15 @@
 /**
  * @file
  * A dynamic bit vector tuned for the Control Vector Table: 64-bit word
- * granularity, read-and-reset word access, OR-merge updates, and fast
- * scans for the first set bit — exactly the operations the CVT hardware
- * provides (Section 3.3 of the paper).
+ * granularity, read-and-reset word access and OR-merge updates — exactly
+ * the operations the CVT hardware provides (Section 3.3 of the paper).
+ * Whole-vector operations are plain word-at-a-time loops.
  */
 
 #ifndef VGIW_COMMON_BIT_VECTOR_HH
 #define VGIW_COMMON_BIT_VECTOR_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -59,21 +60,21 @@ class BitVector
     setFirstN(size_t n)
     {
         vgiw_assert(n <= numBits_, "range ", n, " out of bounds");
-        bitops::setFirstN(span(), n);
+        for (size_t w = 0; w < n / 64; ++w)
+            words_[w] = ~uint64_t{0};
+        if (n % 64)
+            words_[n / 64] |= (uint64_t{1} << (n % 64)) - 1;
     }
 
-    void reset() { bitops::clear(span()); }
+    void
+    reset()
+    {
+        for (uint64_t &w : words_)
+            w = 0;
+    }
 
     /** Raw 64-bit word access (the CVT delivers 64-bit words). */
     uint64_t word(size_t w) const { return words_[w]; }
-
-    /** The whole word array as a kernel-layer span. */
-    bitops::WordSpan span() { return {words_.data(), words_.size()}; }
-    bitops::ConstWordSpan
-    span() const
-    {
-        return {words_.data(), words_.size()};
-    }
 
     /**
      * Read a word and clear it, modelling the CVT's read-and-reset port
@@ -91,18 +92,42 @@ class BitVector
     void orWord(size_t w, uint64_t bits) { words_[w] |= bits; }
 
     /** Number of set bits. */
-    size_t count() const { return size_t(bitops::popcount(span())); }
+    size_t
+    count() const
+    {
+        size_t n = 0;
+        for (uint64_t w : words_)
+            n += size_t(std::popcount(w));
+        return n;
+    }
 
-    bool any() const { return bitops::any(span()); }
+    bool
+    any() const
+    {
+        for (uint64_t w : words_)
+            if (w)
+                return true;
+        return false;
+    }
 
     bool none() const { return !any(); }
 
-    /** Index of the first set bit, or size() if none. */
+    /**
+     * Read-and-reset every word, writing the set bits' indices to @p out
+     * (capacity >= numWords() * 64) in ascending order; returns the
+     * count. Models the CVT's read-and-reset port applied to a whole
+     * control vector.
+     */
     size_t
-    findFirst() const
+    drainToIndices(uint32_t *out)
     {
-        const size_t i = bitops::findFirstSet(span());
-        return i < numBits_ ? i : numBits_;
+        size_t n = 0;
+        for (size_t w = 0; w < words_.size(); ++w) {
+            if (words_[w])
+                n += bitops::expandWord(readAndResetWord(w),
+                                        uint32_t(w * 64), out + n);
+        }
+        return n;
     }
 
     /** Collect the indices of all set bits in ascending order. */
@@ -118,14 +143,6 @@ class BitVector
             out.insert(out.end(), buf, buf + n);
         }
         return out;
-    }
-
-    /** OR another vector of the same size into this one. */
-    void
-    orWith(const BitVector &o)
-    {
-        vgiw_assert(o.numBits_ == numBits_, "size mismatch");
-        bitops::orInto(span(), o.span());
     }
 
   private:

@@ -1,29 +1,10 @@
 /**
  * @file
- * The shared bitmap kernel layer: every 64-bit-word loop in the
- * simulator — the Control Vector Table's read-and-reset drains and
- * OR-merges (Section 3.3), thread-batch packing (Section 3.2), the
- * Fermi coalescer's sorted line array, BitVector itself — goes through
- * the WordSpan kernels defined here.
- *
- * Two backends implement the same contracts:
- *
- *  - `scalar::` — portable word-at-a-time loops, always compiled.
- *  - `simd::`   — AVX2 implementations processing four words (one CVT
- *    cache line's worth of control-vector bits) per step. Compiled only
- *    when the translation unit is built with AVX2; otherwise the names
- *    alias the scalar kernels so call sites never need #ifdefs.
- *
- * Backend selection is configure-time (`-DVGIW_SIMD=OFF` defines
- * VGIW_BITOPS_FORCE_SCALAR and pins the dispatchers to scalar) with a
- * runtime escape hatch: setting VGIW_FORCE_SCALAR_BITOPS=1 in the
- * environment forces the scalar backend in an AVX2 build — this is how
- * the suite bit-identity ctest runs both backends from one binary.
- *
- * Contract: for every kernel, scalar and SIMD results are bit-identical
- * (pinned by the randomized differential test in tests/common). The
- * kernels are pure data movement — no counters, no asserts — so callers
- * keep their own access accounting (CvtStats) unchanged.
+ * The one bitmap helper shared across components: expanding a 64-bit
+ * word of thread bits into ascending thread IDs. BitVector (and through
+ * it the Control Vector Table's read-and-reset drain, Section 3.3) and
+ * the <base, bitmap> batch packets (Section 3.2) both use it. Every
+ * other word loop lives beside its caller as a plain scalar loop.
  */
 
 #ifndef VGIW_COMMON_BITOPS_HH
@@ -32,111 +13,17 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-
-#if defined(__AVX2__) && !defined(VGIW_BITOPS_FORCE_SCALAR)
-#define VGIW_BITOPS_HAVE_AVX2 1
-#include <immintrin.h>
-#endif
 
 namespace vgiw
 {
 namespace bitops
 {
 
-/** A mutable view of 64-bit words (the CVT delivers 64-bit words). */
-struct WordSpan
+/** Always "scalar": the bitmap loops have a single implementation. */
+inline const char *
+backendName()
 {
-    uint64_t *data = nullptr;
-    size_t words = 0;
-};
-
-/** An immutable view of 64-bit words. */
-struct ConstWordSpan
-{
-    const uint64_t *data = nullptr;
-    size_t words = 0;
-
-    ConstWordSpan() = default;
-    ConstWordSpan(const uint64_t *d, size_t n) : data(d), words(n) {}
-    ConstWordSpan(WordSpan s) : data(s.data), words(s.words) {}
-};
-
-/** "scalar" or "avx2" — recorded by bench_throughput for perf context. */
-const char *backendName();
-
-/** True when VGIW_FORCE_SCALAR_BITOPS=1 is set (read once, cached). */
-bool runtimeForceScalar();
-
-// ---------------------------------------------------------------------
-// Scalar backend: the reference semantics. Always compiled; the
-// differential test compares the dispatched backend against these.
-// ---------------------------------------------------------------------
-
-namespace scalar
-{
-
-inline void
-orInto(WordSpan dst, ConstWordSpan src)
-{
-    for (size_t i = 0; i < dst.words; ++i)
-        dst.data[i] |= src.data[i];
-}
-
-inline uint64_t
-popcount(ConstWordSpan s)
-{
-    uint64_t n = 0;
-    for (size_t i = 0; i < s.words; ++i)
-        n += uint64_t(std::popcount(s.data[i]));
-    return n;
-}
-
-inline bool
-any(ConstWordSpan s)
-{
-    for (size_t i = 0; i < s.words; ++i)
-        if (s.data[i])
-            return true;
-    return false;
-}
-
-/** Index of the first set bit, or words*64 when none. */
-inline size_t
-findFirstSet(ConstWordSpan s)
-{
-    for (size_t i = 0; i < s.words; ++i)
-        if (s.data[i])
-            return i * 64 + size_t(std::countr_zero(s.data[i]));
-    return s.words * 64;
-}
-
-inline void
-clear(WordSpan s)
-{
-    for (size_t i = 0; i < s.words; ++i)
-        s.data[i] = 0;
-}
-
-inline bool
-equal(ConstWordSpan a, ConstWordSpan b)
-{
-    if (a.words != b.words)
-        return false;
-    for (size_t i = 0; i < a.words; ++i)
-        if (a.data[i] != b.data[i])
-            return false;
-    return true;
-}
-
-/** OR ones into every bit position in [0, nbits). */
-inline void
-setFirstN(WordSpan s, size_t nbits)
-{
-    for (size_t i = 0; i < nbits / 64; ++i)
-        s.data[i] = ~uint64_t{0};
-    if (nbits % 64)
-        s.data[nbits / 64] |= (uint64_t{1} << (nbits % 64)) - 1;
+    return "scalar";
 }
 
 /**
@@ -152,345 +39,6 @@ expandWord(uint64_t word, uint32_t base, uint32_t *out)
         word &= word - 1;
     }
     return n;
-}
-
-/**
- * Read-and-reset every word of @p s, expanding the set bits into
- * ascending indices at @p out (capacity >= words*64). Returns the
- * count. Models the CVT's read-and-reset port applied to a whole
- * control vector.
- */
-inline size_t
-drainToIndices(WordSpan s, uint32_t *out)
-{
-    size_t n = 0;
-    for (size_t w = 0; w < s.words; ++w) {
-        uint64_t bits = s.data[w];
-        if (!bits)
-            continue;
-        s.data[w] = 0;
-        n += expandWord(bits, uint32_t(w * 64), out + n);
-    }
-    return n;
-}
-
-/**
- * Insert @p v into the ascending array @p vals of length @p n unless
- * already present; returns the new length. The Fermi coalescer's
- * sorted line stack (at most 32 lanes -> no heap).
- */
-inline size_t
-insertSortedUnique(uint32_t *vals, size_t n, uint32_t v)
-{
-    size_t pos = 0;
-    while (pos < n && vals[pos] < v)
-        ++pos;
-    if (pos < n && vals[pos] == v)
-        return n;
-    for (size_t j = n; j > pos; --j)
-        vals[j] = vals[j - 1];
-    vals[pos] = v;
-    return n + 1;
-}
-
-} // namespace scalar
-
-// ---------------------------------------------------------------------
-// SIMD backend (AVX2): four 64-bit words per step. When the TU is not
-// built with AVX2 the names alias the scalar kernels, so the dispatch
-// layer below is always well-formed.
-// ---------------------------------------------------------------------
-
-#if VGIW_BITOPS_HAVE_AVX2
-
-namespace simd
-{
-
-inline void
-orInto(WordSpan dst, ConstWordSpan src)
-{
-    size_t i = 0;
-    for (; i + 4 <= dst.words; i += 4) {
-        const __m256i a = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(dst.data + i));
-        const __m256i b = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src.data + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst.data + i),
-                            _mm256_or_si256(a, b));
-    }
-    for (; i < dst.words; ++i)
-        dst.data[i] |= src.data[i];
-}
-
-inline uint64_t
-popcount(ConstWordSpan s)
-{
-    // Hardware POPCNT on each word already saturates the port; the
-    // vector trick (pshufb nibble LUT) only wins on much longer runs
-    // than a CVT tile. Unrolled-by-4 to match the load width.
-    uint64_t n0 = 0, n1 = 0, n2 = 0, n3 = 0;
-    size_t i = 0;
-    for (; i + 4 <= s.words; i += 4) {
-        n0 += uint64_t(std::popcount(s.data[i]));
-        n1 += uint64_t(std::popcount(s.data[i + 1]));
-        n2 += uint64_t(std::popcount(s.data[i + 2]));
-        n3 += uint64_t(std::popcount(s.data[i + 3]));
-    }
-    uint64_t n = n0 + n1 + n2 + n3;
-    for (; i < s.words; ++i)
-        n += uint64_t(std::popcount(s.data[i]));
-    return n;
-}
-
-inline bool
-any(ConstWordSpan s)
-{
-    size_t i = 0;
-    for (; i + 4 <= s.words; i += 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(s.data + i));
-        if (!_mm256_testz_si256(v, v))
-            return true;
-    }
-    for (; i < s.words; ++i)
-        if (s.data[i])
-            return true;
-    return false;
-}
-
-inline size_t
-findFirstSet(ConstWordSpan s)
-{
-    size_t i = 0;
-    for (; i + 4 <= s.words; i += 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(s.data + i));
-        if (!_mm256_testz_si256(v, v)) {
-            for (size_t j = i; j < i + 4; ++j)
-                if (s.data[j])
-                    return j * 64 + size_t(std::countr_zero(s.data[j]));
-        }
-    }
-    for (; i < s.words; ++i)
-        if (s.data[i])
-            return i * 64 + size_t(std::countr_zero(s.data[i]));
-    return s.words * 64;
-}
-
-inline void
-clear(WordSpan s)
-{
-    std::memset(s.data, 0, s.words * sizeof(uint64_t));
-}
-
-inline bool
-equal(ConstWordSpan a, ConstWordSpan b)
-{
-    if (a.words != b.words)
-        return false;
-    size_t i = 0;
-    for (; i + 4 <= a.words; i += 4) {
-        const __m256i x = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a.data + i));
-        const __m256i y = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b.data + i));
-        const __m256i d = _mm256_xor_si256(x, y);
-        if (!_mm256_testz_si256(d, d))
-            return false;
-    }
-    for (; i < a.words; ++i)
-        if (a.data[i] != b.data[i])
-            return false;
-    return true;
-}
-
-inline void
-setFirstN(WordSpan s, size_t nbits)
-{
-    std::memset(s.data, 0xff, (nbits / 64) * sizeof(uint64_t));
-    if (nbits % 64)
-        s.data[nbits / 64] |= (uint64_t{1} << (nbits % 64)) - 1;
-}
-
-/** A dense word expands to 64 consecutive IDs with vector stores. */
-inline size_t
-expandWord(uint64_t word, uint32_t base, uint32_t *out)
-{
-    if (word == ~uint64_t{0}) {
-        const __m256i step = _mm256_set1_epi32(8);
-        __m256i v = _mm256_add_epi32(
-            _mm256_set1_epi32(int(base)),
-            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-        for (int k = 0; k < 8; ++k) {
-            _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 8 * k),
-                                v);
-            v = _mm256_add_epi32(v, step);
-        }
-        return 64;
-    }
-    return scalar::expandWord(word, base, out);
-}
-
-inline size_t
-drainToIndices(WordSpan s, uint32_t *out)
-{
-    size_t n = 0;
-    size_t w = 0;
-    for (; w + 4 <= s.words; w += 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(s.data + w));
-        if (_mm256_testz_si256(v, v))
-            continue;  // a whole empty cache line skipped in one test
-        for (size_t j = w; j < w + 4; ++j) {
-            const uint64_t bits = s.data[j];
-            if (!bits)
-                continue;
-            s.data[j] = 0;
-            n += expandWord(bits, uint32_t(j * 64), out + n);
-        }
-    }
-    for (; w < s.words; ++w) {
-        const uint64_t bits = s.data[w];
-        if (!bits)
-            continue;
-        s.data[w] = 0;
-        n += expandWord(bits, uint32_t(w * 64), out + n);
-    }
-    return n;
-}
-
-inline size_t
-insertSortedUnique(uint32_t *vals, size_t n, uint32_t v)
-{
-    // Vector search for the insertion point: count elements < v via
-    // signed compare (line numbers are addr/128 < 2^25, sign-safe).
-    const __m256i key = _mm256_set1_epi32(int(v));
-    size_t pos = 0;
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256i chunk = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(vals + i));
-        const unsigned lt = unsigned(_mm256_movemask_ps(_mm256_castsi256_ps(
-            _mm256_cmpgt_epi32(key, chunk))));
-        pos += size_t(std::popcount(lt));
-        if (lt != 0xffu)
-            break;
-    }
-    if (i + 8 > n || pos < i + 8) {
-        while (pos < n && vals[pos] < v)
-            ++pos;
-    }
-    if (pos < n && vals[pos] == v)
-        return n;
-    for (size_t j = n; j > pos; --j)
-        vals[j] = vals[j - 1];
-    vals[pos] = v;
-    return n + 1;
-}
-
-} // namespace simd
-
-#else  // !VGIW_BITOPS_HAVE_AVX2
-
-namespace simd = scalar;
-
-#endif // VGIW_BITOPS_HAVE_AVX2
-
-// ---------------------------------------------------------------------
-// Dispatch: configure-time backend choice, runtime scalar override.
-// One predictable branch per call in AVX2 builds; compiled straight to
-// the scalar kernels otherwise.
-// ---------------------------------------------------------------------
-
-#if VGIW_BITOPS_HAVE_AVX2
-#define VGIW_BITOPS_DISPATCH(call)                                        \
-    (runtimeForceScalar() ? scalar::call : simd::call)
-#else
-#define VGIW_BITOPS_DISPATCH(call) (scalar::call)
-#endif
-
-inline void
-orInto(WordSpan dst, ConstWordSpan src)
-{
-    VGIW_BITOPS_DISPATCH(orInto(dst, src));
-}
-
-inline uint64_t
-popcount(ConstWordSpan s)
-{
-    return VGIW_BITOPS_DISPATCH(popcount(s));
-}
-
-inline bool
-any(ConstWordSpan s)
-{
-    return VGIW_BITOPS_DISPATCH(any(s));
-}
-
-inline size_t
-findFirstSet(ConstWordSpan s)
-{
-    return VGIW_BITOPS_DISPATCH(findFirstSet(s));
-}
-
-inline void
-clear(WordSpan s)
-{
-    VGIW_BITOPS_DISPATCH(clear(s));
-}
-
-inline bool
-equal(ConstWordSpan a, ConstWordSpan b)
-{
-    return VGIW_BITOPS_DISPATCH(equal(a, b));
-}
-
-inline void
-setFirstN(WordSpan s, size_t nbits)
-{
-    VGIW_BITOPS_DISPATCH(setFirstN(s, nbits));
-}
-
-inline size_t
-expandWord(uint64_t word, uint32_t base, uint32_t *out)
-{
-    return VGIW_BITOPS_DISPATCH(expandWord(word, base, out));
-}
-
-inline size_t
-drainToIndices(WordSpan s, uint32_t *out)
-{
-    return VGIW_BITOPS_DISPATCH(drainToIndices(s, out));
-}
-
-inline size_t
-insertSortedUnique(uint32_t *vals, size_t n, uint32_t v)
-{
-    return VGIW_BITOPS_DISPATCH(insertSortedUnique(vals, n, v));
-}
-
-#undef VGIW_BITOPS_DISPATCH
-
-/**
- * Visit ascending thread IDs grouped into 64-aligned windows: @p emit
- * is called once per populated window with (base, bitmap) — the
- * <base, bitmap> batch packets of Section 3.2. Scalar by contract: the
- * grouping is a sequential scan whose output order is load-bearing.
- */
-template <class Emit>
-inline void
-foreachAlignedWindow(const uint32_t *tids, size_t n, Emit &&emit)
-{
-    size_t i = 0;
-    while (i < n) {
-        const uint32_t base = tids[i] & ~63u;
-        uint64_t bitmap = 0;
-        do {
-            bitmap |= uint64_t{1} << (tids[i] & 63u);
-            ++i;
-        } while (i < n && (tids[i] & ~63u) == base);
-        emit(base, bitmap);
-    }
 }
 
 } // namespace bitops

@@ -187,7 +187,8 @@ SgmfCore::deserializeArtifact(std::string_view bytes) const
     if (!p)
         return nullptr;
     ck->blockOps.resize(size_t(n));
-    std::memcpy(ck->blockOps.data(), p, size_t(n) * sizeof(uint32_t));
+    if (n)  // an empty vector's data() may be null
+        std::memcpy(ck->blockOps.data(), p, size_t(n) * sizeof(uint32_t));
     if (!r.done())
         return nullptr;
     return ck;

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <vector>
 
-#include "common/bitops.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "driver/artifact_store.hh"
@@ -34,6 +34,25 @@ struct Warp
     bool atBarrier = false;
     bool done = false;
 };
+
+/**
+ * Insert @p v into the ascending array @p vals of length @p n unless
+ * already present; returns the new length. The coalescer's sorted line
+ * stack (at most 32 lanes -> no heap).
+ */
+size_t
+insertSortedUnique(uint32_t *vals, size_t n, uint32_t v)
+{
+    size_t pos = 0;
+    while (pos < n && vals[pos] < v)
+        ++pos;
+    if (pos < n && vals[pos] == v)
+        return n;
+    for (size_t j = n; j > pos; --j)
+        vals[j] = vals[j - 1];
+    vals[pos] = v;
+    return n + 1;
+}
 
 } // namespace
 
@@ -152,7 +171,8 @@ FermiCore::deserializeArtifact(std::string_view bytes) const
         return nullptr;
     std::vector<int> ipd;
     ipd.resize(size_t(n_ipd));
-    std::memcpy(ipd.data(), p, size_t(n_ipd) * sizeof(int));
+    if (n_ipd)  // an empty vector's data() may be null
+        std::memcpy(ipd.data(), p, size_t(n_ipd) * sizeof(int));
     auto ck = std::make_shared<FermiCompiledKernel>(
         PostDominators::fromIpdoms(std::move(ipd)));
 
@@ -440,7 +460,7 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                         const int tid = warp.tids[lane];
                         const MemAccess acc =
                             cursor[size_t(tid)].nextAccess();
-                        num_lines = int(bitops::insertSortedUnique(
+                        num_lines = int(insertSortedUnique(
                             lines.data(), size_t(num_lines),
                             acc.addr / 128));
                     }

@@ -1,6 +1,5 @@
 #include "vgiw/control_vector_table.hh"
 
-#include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace vgiw
@@ -77,7 +76,7 @@ ControlVectorTable::drainInto(int block, std::vector<uint32_t> &out)
 {
     vgiw_assert(block >= 0 && block < numBlocks(), "bad block ", block);
     BitVector &v = vectors_[block];
-    const size_t n = bitops::drainToIndices(v.span(), drainBuf_.data());
+    const size_t n = v.drainToIndices(drainBuf_.data());
     out.assign(drainBuf_.data(), drainBuf_.data() + n);
     stats_.wordReads += v.numWords();
 }

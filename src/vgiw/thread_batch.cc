@@ -1,7 +1,5 @@
 #include "vgiw/thread_batch.hh"
 
-#include "common/bitops.hh"
-
 namespace vgiw
 {
 
@@ -18,10 +16,17 @@ packBatchesInto(const std::vector<uint32_t> &tids,
                 std::vector<ThreadBatch> &out)
 {
     out.clear();
-    bitops::foreachAlignedWindow(
-        tids.data(), tids.size(), [&out](uint32_t base, uint64_t bitmap) {
-            out.push_back(ThreadBatch{base, bitmap});
-        });
+    // Ascending IDs: each run sharing a 64-aligned window is one packet.
+    size_t i = 0;
+    while (i < tids.size()) {
+        const uint32_t base = tids[i] & ~63u;
+        uint64_t bitmap = 0;
+        do {
+            bitmap |= uint64_t{1} << (tids[i] & 63u);
+            ++i;
+        } while (i < tids.size() && (tids[i] & ~63u) == base);
+        out.push_back(ThreadBatch{base, bitmap});
+    }
 }
 
 } // namespace vgiw

@@ -201,7 +201,8 @@ VgiwCore::deserializeArtifact(std::string_view bytes) const
         if (!p)
             return nullptr;
         li.resize(cnt);
-        std::memcpy(li.data(), p, size_t(cnt) * sizeof(uint16_t));
+        if (cnt)  // an empty vector's data() may be null
+            std::memcpy(li.data(), p, size_t(cnt) * sizeof(uint16_t));
     }
     ck->avgUtilization = r.f64();
     if (!r.done())
