@@ -94,7 +94,6 @@ main()
             w.suite = "SYNTH";
             w.domain = "Divergence Sweep";
             w.kernel = k;
-            w.memory = MemoryImage(1 << 22);
             const uint32_t in = w.memory.allocWords(threads);
             const uint32_t out = w.memory.allocWords(threads);
             for (int i = 0; i < threads; ++i) {

@@ -2,12 +2,13 @@
  * @file
  * bench_throughput — the repository's tracked wall-clock trajectory.
  *
- * Runs the full Table 2 registry across all three architectures under a
- * multi-point LVC/CVT design-space sweep (the shape every ablation
- * harness has), several times, and reports wall-clock, full-suite
- * sweeps/sec, jobs/sec and heap allocation counts. The numbers land in
- * BENCH_throughput.json at the working directory — committed at the
- * repo root so every later PR has a perf trajectory to beat.
+ * Runs the full Table 2 registry across every registered architecture
+ * (VGIW, Fermi, SGMF and DICE) under a multi-point LVC/CVT design-space
+ * sweep (the shape every ablation harness has), several times, and
+ * reports wall-clock, full-suite sweeps/sec, jobs/sec and heap
+ * allocation counts. The numbers land in BENCH_throughput.json at the
+ * working directory — committed at the repo root so every later PR has
+ * a perf trajectory to beat.
  *
  * The sweep varies only replay-side parameters (LVC bytes, CVT bits),
  * so kernel compilation (DFG construction + MT-CGRF placement) is

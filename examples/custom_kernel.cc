@@ -80,7 +80,7 @@ main()
     // --- 3. Launch it. -------------------------------------------------
     const int n = 1024, reps = 5;
     const float a = 2.5f;
-    MemoryImage mem(1 << 20);
+    MemoryImage mem;
     const uint32_t x = mem.allocWords(n);
     const uint32_t y = mem.allocWords(n);
     for (int i = 0; i < n; ++i) {

@@ -91,7 +91,7 @@ main()
                 "core pJ");
 
     for (int pct : {0, 25, 50, 75, 100}) {
-        MemoryImage mem(1 << 22);
+        MemoryImage mem;
         const uint32_t in = mem.allocWords(threads);
         const uint32_t out = mem.allocWords(threads);
         for (int i = 0; i < threads; ++i) {

@@ -82,7 +82,7 @@ main()
     // --- 2. Set up memory and launch 8 threads with the paper's
     //        divergence pattern: {1,3,8}->BB2, {2,7}->BB4, {4,5,6}->BB5
     //        (1-based thread numbering as in the paper).
-    MemoryImage mem(1 << 16);
+    MemoryImage mem;
     const int n = 8;
     const uint32_t in = mem.allocWords(n);
     const uint32_t out = mem.allocWords(n);

@@ -54,9 +54,8 @@ TraceCache::get(const std::string &name,
                 bool nameIsUnique)
 {
     // When the caller promises that the name fully determines the
-    // instance, repeat gets skip make() entirely — building a
-    // WorkloadInstance means laying out and initialising a full
-    // MemoryImage, which dominated sweep wall clock when run per job.
+    // instance, repeat gets skip make() entirely: no kernel build, no
+    // input generation, no memory image.
     if (nameIsUnique) {
         std::shared_future<std::shared_ptr<const Entry>> memoised;
         {

@@ -128,9 +128,9 @@ class TraceCache
         entries_;
     /**
      * Memo from workload name to full cache key, so nameIsUnique gets
-     * skip make() (building a WorkloadInstance lays out a whole
-     * MemoryImage — by far the dominant per-job cost once traces are
-     * cached). Only populated and consulted for nameIsUnique calls.
+     * skip make() (building the kernel and generating its inputs) once
+     * traces are cached. Only populated and consulted for nameIsUnique
+     * calls.
      */
     std::map<std::string, std::string> nameToKey_;
     std::atomic<uint64_t> execs_{0};

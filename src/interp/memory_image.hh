@@ -4,11 +4,15 @@
  * executor and the workload generators. Provides a bump allocator so a
  * workload can lay out its buffers and pass base addresses as kernel
  * parameters, exactly as a CUDA host program would after cudaMalloc.
+ * The image starts empty and grows with each allocation, so it is
+ * exactly as large as the buffers laid out in it and a load or store
+ * past the last buffer traps.
  */
 
 #ifndef VGIW_INTERP_MEMORY_IMAGE_HH
 #define VGIW_INTERP_MEMORY_IMAGE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -22,27 +26,27 @@ namespace vgiw
 class MemoryImage
 {
   public:
-    /** Construct with @p capacity_bytes of zeroed memory. */
-    explicit MemoryImage(uint32_t capacity_bytes = 16u << 20)
-        : words_((capacity_bytes + 3) / 4, 0)
-    {}
-
+    /** The allocated extent: the aligned end of the last allocation. */
     uint32_t sizeBytes() const { return uint32_t(words_.size()) * 4; }
 
     /**
-     * Allocate @p num_words 32-bit words, aligned to a 128-byte cache
-     * line (matching cudaMalloc's alignment guarantees that the
-     * benchmarks' coalescing behaviour depends on). Returns the byte
-     * address of the allocation.
+     * Allocate @p num_words zeroed 32-bit words, aligned to a 128-byte
+     * cache line (matching cudaMalloc's alignment guarantees that the
+     * benchmarks' coalescing behaviour depends on), and grow the image
+     * to the next line boundary past them. Returns the byte address of
+     * the allocation.
      */
     uint32_t
     allocWords(uint32_t num_words)
     {
-        brk_ = (brk_ + 127u) & ~127u;
-        uint32_t addr = brk_;
-        brk_ += num_words * 4;
-        vgiw_assert(brk_ <= sizeBytes(), "memory image exhausted");
-        return addr;
+        // Buffers start past the first line: address 0 never names one.
+        const uint64_t addr = std::max<uint64_t>(sizeBytes(), kLineBytes);
+        const uint64_t end = (addr + uint64_t(num_words) * 4 +
+                              kLineBytes - 1) & ~uint64_t(kLineBytes - 1);
+        vgiw_assert(end <= UINT32_MAX, "memory image overflows 32-bit "
+                    "addresses allocating ", num_words, " words");
+        words_.resize(end / 4, 0);
+        return uint32_t(addr);
     }
 
     uint32_t
@@ -101,8 +105,9 @@ class MemoryImage
     }
 
   private:
+    static constexpr uint32_t kLineBytes = 128;
+
     std::vector<uint32_t> words_;
-    uint32_t brk_ = 128;  // keep address 0 unused to catch null derefs
 };
 
 } // namespace vgiw

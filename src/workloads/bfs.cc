@@ -196,7 +196,7 @@ buildKernel2()
 /** Lay the BFS state out in a memory image. */
 struct BfsImage
 {
-    MemoryImage mem{16u << 20};
+    MemoryImage mem;
     uint32_t starts, edges, mask, updating, visited, cost, over;
 };
 

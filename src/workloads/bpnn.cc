@@ -170,7 +170,6 @@ makeBpnnLayerForward()
     w.suite = "BPNN";
     w.domain = "Pattern Recognition";
     w.kernel = buildLayerForward();
-    w.memory = MemoryImage(1u << 20);
 
     Rng rng(57);
     const uint32_t input = w.memory.allocWords(kSlices * kIn);
@@ -218,7 +217,6 @@ makeBpnnAdjustWeights()
     w.suite = "BPNN";
     w.domain = "Pattern Recognition";
     w.kernel = buildAdjustWeights();
-    w.memory = MemoryImage(4u << 20);
 
     constexpr int kRows = 256;  // input rows
     constexpr int kCount = kRows * kHid;

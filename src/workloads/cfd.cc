@@ -251,7 +251,7 @@ buildComputeFlux()
 
 struct CfdArrays
 {
-    MemoryImage mem{16u << 20};
+    MemoryImage mem;
     uint32_t variables, old_variables, fluxes, step_factor, areas,
         ff_variable, surrounding, normals;
 };
@@ -320,13 +320,12 @@ makeCfdInitializeVariables()
     w.memory = a.mem;
     w.launch = cfdLaunch({Scalar::fromU32(a.variables),
                           Scalar::fromU32(a.ff_variable)});
-    MemoryImage init = a.mem;
-    w.check = [a, init](const MemoryImage &mem, std::string &err) {
+    w.check = [a](const MemoryImage &mem, std::string &err) {
         std::vector<float> expect(size_t(kVars) * kNelr);
         for (int v = 0; v < kVars; ++v)
             for (int i = 0; i < kNelr; ++i)
                 expect[size_t(varIdx(v, i))] =
-                    init.loadF32(a.ff_variable, uint32_t(v));
+                    a.mem.loadF32(a.ff_variable, uint32_t(v));
         return checkF32(mem, a.variables, expect, 0.0f, err);
     };
     return w;
@@ -345,15 +344,14 @@ makeCfdComputeStepFactor()
     w.launch = cfdLaunch({Scalar::fromU32(a.variables),
                           Scalar::fromU32(a.areas),
                           Scalar::fromU32(a.step_factor)});
-    MemoryImage init = a.mem;
-    w.check = [a, init](const MemoryImage &mem, std::string &err) {
+    w.check = [a](const MemoryImage &mem, std::string &err) {
         std::vector<float> expect(kNelr);
         for (int i = 0; i < kNelr; ++i) {
-            const float density = init.loadF32(a.variables, varIdx(0, i));
-            const float mx = init.loadF32(a.variables, varIdx(1, i));
-            const float my = init.loadF32(a.variables, varIdx(2, i));
-            const float mz = init.loadF32(a.variables, varIdx(3, i));
-            const float energy = init.loadF32(a.variables, varIdx(4, i));
+            const float density = a.mem.loadF32(a.variables, varIdx(0, i));
+            const float mx = a.mem.loadF32(a.variables, varIdx(1, i));
+            const float my = a.mem.loadF32(a.variables, varIdx(2, i));
+            const float mz = a.mem.loadF32(a.variables, varIdx(3, i));
+            const float energy = a.mem.loadF32(a.variables, varIdx(4, i));
             const float m2 = mx * mx + my * my + mz * mz;
             const float speed_sqd = m2 / (density * density);
             const float pressure =
@@ -361,7 +359,7 @@ makeCfdComputeStepFactor()
                 (energy - 0.5f * (density * speed_sqd));
             const float c =
                 std::sqrt(kGamma * pressure / density);
-            const float area = init.loadF32(a.areas, uint32_t(i));
+            const float area = a.mem.loadF32(a.areas, uint32_t(i));
             expect[size_t(i)] =
                 0.5f /
                 (std::sqrt(area) * (std::sqrt(speed_sqd) + c));
@@ -384,15 +382,14 @@ makeCfdTimeStep()
     w.launch = cfdLaunch(
         {Scalar::fromU32(a.variables), Scalar::fromU32(a.old_variables),
          Scalar::fromU32(a.fluxes), Scalar::fromU32(a.step_factor)});
-    MemoryImage init = a.mem;
-    w.check = [a, init](const MemoryImage &mem, std::string &err) {
+    w.check = [a](const MemoryImage &mem, std::string &err) {
         std::vector<float> expect(size_t(kVars) * kNelr);
         for (int i = 0; i < kNelr; ++i) {
-            const float f = init.loadF32(a.step_factor, uint32_t(i));
+            const float f = a.mem.loadF32(a.step_factor, uint32_t(i));
             for (int v = 0; v < kVars; ++v) {
                 expect[size_t(varIdx(v, i))] =
-                    init.loadF32(a.old_variables, varIdx(v, i)) +
-                    f * init.loadF32(a.fluxes, varIdx(v, i));
+                    a.mem.loadF32(a.old_variables, varIdx(v, i)) +
+                    f * a.mem.loadF32(a.fluxes, varIdx(v, i));
             }
         }
         return checkF32(mem, a.variables, expect, 1e-5f, err);
@@ -414,23 +411,22 @@ makeCfdComputeFlux()
         {Scalar::fromU32(a.surrounding), Scalar::fromU32(a.normals),
          Scalar::fromU32(a.variables), Scalar::fromU32(a.fluxes),
          Scalar::fromU32(a.ff_variable)});
-    MemoryImage init = a.mem;
-    w.check = [a, init](const MemoryImage &mem, std::string &err) {
+    w.check = [a](const MemoryImage &mem, std::string &err) {
         std::vector<float> ed(kNelr), em(kNelr), ee(kNelr);
-        const float ff_d = init.loadF32(a.ff_variable, 0);
-        const float ff_m = init.loadF32(a.ff_variable, 1);
-        const float ff_e = init.loadF32(a.ff_variable, 4);
+        const float ff_d = a.mem.loadF32(a.ff_variable, 0);
+        const float ff_m = a.mem.loadF32(a.ff_variable, 1);
+        const float ff_e = a.mem.loadF32(a.ff_variable, 4);
         auto var = [&](int v, int i) {
-            return init.loadF32(a.variables, varIdx(v, i));
+            return a.mem.loadF32(a.variables, varIdx(v, i));
         };
         for (int i = 0; i < kNelr; ++i) {
             const float rho = var(0, i), mx = var(1, i), en = var(4, i);
             float acc_d = 0.0f, acc_m = 0.0f, acc_e = 0.0f;
             for (int j = 0; j < kNeighbors; ++j) {
-                const int32_t nb = init.loadI32(
+                const int32_t nb = a.mem.loadI32(
                     a.surrounding, uint32_t(j * kNelr + i));
                 const float wv =
-                    init.loadF32(a.normals, uint32_t(j * kNelr + i));
+                    a.mem.loadF32(a.normals, uint32_t(j * kNelr + i));
                 if (nb >= 0) {
                     const float rho_nb = var(0, nb), mx_nb = var(1, nb),
                                 en_nb = var(4, nb);

@@ -143,7 +143,6 @@ makeGeFan1()
     w.suite = "GE";
     w.domain = "Linear Algebra";
     w.kernel = buildFan1();
-    w.memory = MemoryImage(4u << 20);
 
     Rng rng(44);
     const uint32_t m = w.memory.allocWords(kSize * kSize);
@@ -185,7 +184,6 @@ makeGeFan2()
     w.suite = "GE";
     w.domain = "Linear Algebra";
     w.kernel = buildFan2();
-    w.memory = MemoryImage(4u << 20);
 
     Rng rng(45);
     const uint32_t m = w.memory.allocWords(kSize * kSize);

@@ -94,7 +94,6 @@ makeHotspotKernel()
     w.suite = "HOTSPOT";
     w.domain = "Physics Simulation";
     w.kernel = buildHotspot();
-    w.memory = MemoryImage(1u << 20);
 
     Rng rng(55);
     const uint32_t temp = w.memory.allocWords(kGrid * kGrid);

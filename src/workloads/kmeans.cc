@@ -60,7 +60,6 @@ makeKmeansInvertMapping()
     w.suite = "KMEANS";
     w.domain = "Data Mining";
     w.kernel = buildInvertMapping();
-    w.memory = MemoryImage(8u << 20);
 
     Rng rng(43);
     const uint32_t in = w.memory.allocWords(kPoints * kFeatures);

@@ -120,7 +120,6 @@ makeLavamdKernel()
     w.suite = "LAVAMD";
     w.domain = "Molecular Dynamics";
     w.kernel = buildLavamd();
-    w.memory = MemoryImage(1u << 20);
 
     constexpr int kParticles = kBoxes * kPerBox;
     Rng rng(56);

@@ -420,7 +420,6 @@ makeLud(const char *which)
     WorkloadInstance w;
     w.suite = "LUD";
     w.domain = "Linear Algebra";
-    w.memory = MemoryImage(4u << 20);
 
     const std::string name = which;
     int batch;

@@ -63,7 +63,6 @@ makeNnEuclid()
     w.suite = "NN";
     w.domain = "Data Mining";
     w.kernel = buildEuclid();
-    w.memory = MemoryImage(4u << 20);
 
     Rng rng(42);
     const uint32_t loc = w.memory.allocWords(kRecords * 2);

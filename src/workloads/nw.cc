@@ -281,7 +281,6 @@ makeNw(int phase)
     w.domain = "Bioinformatics";
     w.kernel = buildNeedle(phase == 1 ? "needle_cuda_shared_1"
                                       : "needle_cuda_shared_2");
-    w.memory = MemoryImage(4u << 20);
 
     const uint32_t score =
         w.memory.allocWords(uint32_t(kProblems) * kScoreWords);

@@ -72,7 +72,6 @@ makePfNormalizeWeights()
     w.suite = "PF";
     w.domain = "Medical Imaging";
     w.kernel = buildNormalizeWeights();
-    w.memory = MemoryImage(4u << 20);
 
     Rng rng(46);
     const uint32_t weights = w.memory.allocWords(kParticles);

@@ -97,7 +97,6 @@ makeSmComputeCost()
     w.suite = "SM";
     w.domain = "Data Mining";
     w.kernel = buildComputeCost();
-    w.memory = MemoryImage(8u << 20);
 
     Rng rng(47);
     const uint32_t coords = w.memory.allocWords(kPoints * kDims);

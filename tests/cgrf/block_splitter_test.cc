@@ -61,7 +61,7 @@ TEST(BlockSplitter, SplitKernelComputesTheSameResult)
     Kernel split = splitOversizedBlocks(k);
 
     auto run = [](const Kernel &kk) {
-        MemoryImage mem(1 << 16);
+        MemoryImage mem;
         uint32_t in = mem.allocWords(16), out = mem.allocWords(16);
         for (int i = 0; i < 16; ++i)
             mem.storeF32(in, uint32_t(i), float(i) * 0.5f);
@@ -121,7 +121,7 @@ TEST(BlockSplitter, SplitsOversizedLoopBodyKeepingBackEdge)
     Kernel split = splitOversizedBlocks(k);
     EXPECT_TRUE(allBlocksFit(split));
 
-    MemoryImage mem(1 << 16);
+    MemoryImage mem;
     uint32_t in = mem.allocWords(4), out = mem.allocWords(4);
     LaunchParams lp;
     lp.numCtas = 1;

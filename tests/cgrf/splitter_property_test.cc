@@ -60,7 +60,7 @@ TEST_P(SplitterPropertyTest, SplittingPreservesSemantics)
     // Bit-identical results on the same inputs.
     auto run = [](const Kernel &kk, uint64_t seed) {
         const int threads = 128;
-        MemoryImage mem(1 << 20);
+        MemoryImage mem;
         const uint32_t in = mem.allocWords(threads);
         const uint32_t out = mem.allocWords(threads);
         Rng data(seed);

@@ -21,7 +21,7 @@ namespace
 TraceSet
 traceFig1(const Kernel &k, const std::vector<int32_t> &inputs)
 {
-    MemoryImage mem(1 << 18);
+    MemoryImage mem;
     const int n = int(inputs.size());
     uint32_t in = mem.allocWords(uint32_t(n));
     uint32_t out = mem.allocWords(uint32_t(n));

@@ -38,7 +38,7 @@ fig1Traces(MemoryImage &mem, const std::vector<int32_t> &inputs)
 
 TEST(OccupancyStats, UniformWarpHasFullLaneOccupancy)
 {
-    MemoryImage mem(1 << 16);
+    MemoryImage mem;
     TraceSet t = fig1Traces(mem, std::vector<int32_t>(32, 1));
     RunStats f = FermiCore{}.run(t);
     EXPECT_DOUBLE_EQ(f.extra.get("fermi.lane_occupancy"), 1.0);
@@ -50,7 +50,7 @@ TEST(OccupancyStats, DivergenceDropsLaneOccupancy)
     const int32_t pattern[8] = {1, 2, 1, 0, 0, 0, 2, 1};
     for (int i = 0; i < 32; ++i)
         div[size_t(i)] = pattern[i % 8];
-    MemoryImage mem(1 << 16);
+    MemoryImage mem;
     TraceSet t = fig1Traces(mem, div);
     RunStats f = FermiCore{}.run(t);
     const double occ = f.extra.get("fermi.lane_occupancy");
@@ -65,7 +65,7 @@ TEST(OccupancyStats, VgiwVectorsCoalesceRegardlessOfDivergence)
     for (int i = 0; i < 256; ++i)
         div[size_t(i)] = pattern[i % 8];
 
-    MemoryImage m1(1 << 18), m2(1 << 18);
+    MemoryImage m1, m2;
     TraceSet uniform = fig1Traces(m1, std::vector<int32_t>(256, 1));
     TraceSet divergent = fig1Traces(m2, div);
 

@@ -33,7 +33,7 @@ TEST_P(RandomKernelTest, AllModelsReplayIdenticalWork)
     Kernel k = testing::randomKernel(rng, regions);
 
     const int threads = 256;
-    MemoryImage mem(1 << 20);
+    MemoryImage mem;
     const uint32_t in = mem.allocWords(threads);
     const uint32_t out = mem.allocWords(threads);
     for (int i = 0; i < threads; ++i)
@@ -78,7 +78,7 @@ TEST_P(RandomKernelTest, TilingDoesNotChangeWork)
     Kernel k = testing::randomKernel(rng, 3);
 
     const int threads = 512;
-    MemoryImage mem(1 << 20);
+    MemoryImage mem;
     const uint32_t in = mem.allocWords(threads);
     const uint32_t out = mem.allocWords(threads);
     for (int i = 0; i < threads; ++i)

@@ -25,7 +25,7 @@ TEST(InterpGuards, RunawayLoopIsCaught)
     loop.jump(loop);
     Kernel k = kb.finish();
 
-    MemoryImage mem(4096);
+    MemoryImage mem;
     LaunchParams lp;
     lp.numCtas = 1;
     lp.ctaSize = 1;
@@ -42,7 +42,7 @@ TEST(InterpGuards, OutOfRangeLoadPanics)
     b.exit();
     Kernel k = kb.finish();
 
-    MemoryImage mem(4096);
+    MemoryImage mem;
     LaunchParams lp;
     lp.numCtas = 1;
     lp.ctaSize = 1;
@@ -57,7 +57,7 @@ TEST(InterpGuards, UnalignedAccessPanics)
     b.exit();
     Kernel k = kb.finish();
 
-    MemoryImage mem(4096);
+    MemoryImage mem;
     LaunchParams lp;
     lp.numCtas = 1;
     lp.ctaSize = 1;
@@ -74,7 +74,7 @@ TEST(InterpGuards, SharedOverrunPanics)
     b.exit();
     Kernel k = kb.finish();
 
-    MemoryImage mem(4096);
+    MemoryImage mem;
     LaunchParams lp;
     lp.numCtas = 1;
     lp.ctaSize = 1;
@@ -102,7 +102,7 @@ TEST(InterpGuards, BarrierDeadlockDetected)
     b2.exit();
     Kernel k = kb.finish();
 
-    MemoryImage mem(4096);
+    MemoryImage mem;
     LaunchParams lp;
     lp.numCtas = 1;
     lp.ctaSize = 4;
@@ -129,7 +129,7 @@ TEST(InterpGuards, ExitBeforeBarrierReleasesWaiters)
     after.exit();
     Kernel k = kb.finish();
 
-    MemoryImage mem(4096);
+    MemoryImage mem;
     uint32_t buf = mem.allocWords(8);
     LaunchParams lp;
     lp.numCtas = 1;
@@ -138,23 +138,6 @@ TEST(InterpGuards, ExitBeforeBarrierReleasesWaiters)
     EXPECT_NO_THROW(Interpreter{}.run(k, lp, mem));
     EXPECT_EQ(mem.loadI32(buf, 2), 7);
     EXPECT_EQ(mem.loadI32(buf, 3), 7);
-}
-
-TEST(MemoryImageGuards, AllocationExhaustionPanics)
-{
-    MemoryImage mem(1024);
-    mem.allocWords(128);
-    EXPECT_DEATH(mem.allocWords(256), "exhausted");
-}
-
-TEST(MemoryImageGuards, AllocationsAreLineAligned)
-{
-    MemoryImage mem(1 << 16);
-    uint32_t a = mem.allocWords(3);
-    uint32_t b = mem.allocWords(3);
-    EXPECT_EQ(a % 128, 0u);
-    EXPECT_EQ(b % 128, 0u);
-    EXPECT_NE(a, b);
 }
 
 } // namespace

@@ -21,7 +21,7 @@ evalBinary(Opcode op, Type t, Scalar a, Scalar b)
     blk.exit();
     Kernel k = kb.finish();
 
-    MemoryImage mem(4096);
+    MemoryImage mem;
     uint32_t out = mem.allocWords(1);
     LaunchParams lp;
     lp.numCtas = 1;
@@ -41,7 +41,7 @@ evalUnary(Opcode op, Type t, Scalar a)
     blk.exit();
     Kernel k = kb.finish();
 
-    MemoryImage mem(4096);
+    MemoryImage mem;
     uint32_t out = mem.allocWords(1);
     LaunchParams lp;
     lp.numCtas = 1;
@@ -135,7 +135,7 @@ TEST(InterpOps, Select)
     Kernel k = kb.finish();
 
     for (int cond = 0; cond < 2; ++cond) {
-        MemoryImage mem(4096);
+        MemoryImage mem;
         uint32_t out = mem.allocWords(1);
         LaunchParams lp;
         lp.numCtas = 1;
@@ -150,7 +150,7 @@ TEST(InterpOps, Select)
 TEST(Interpreter, Fig1DivergentPathsComputeCorrectly)
 {
     Kernel k = testing::makeFig1Kernel();
-    MemoryImage mem(1 << 16);
+    MemoryImage mem;
     const int n = 8;
     uint32_t in = mem.allocWords(n);
     uint32_t out = mem.allocWords(n);
@@ -195,7 +195,7 @@ TEST(Interpreter, Fig1DivergentPathsComputeCorrectly)
 TEST(Interpreter, LoopExecutesNTimes)
 {
     Kernel k = testing::makeLoopKernel();
-    MemoryImage mem(1 << 16);
+    MemoryImage mem;
     const int n_threads = 5, trips = 7;
     uint32_t out = mem.allocWords(n_threads);
     LaunchParams lp;
@@ -217,7 +217,7 @@ TEST(Interpreter, BarrierSharedMemoryReversal)
 {
     const int cta = 8, ctas = 3;
     Kernel k = testing::makeBarrierKernel(cta);
-    MemoryImage mem(1 << 16);
+    MemoryImage mem;
     uint32_t in = mem.allocWords(cta * ctas);
     uint32_t out = mem.allocWords(cta * ctas);
     for (int i = 0; i < cta * ctas; ++i)
@@ -240,7 +240,7 @@ TEST(Interpreter, BarrierSharedMemoryReversal)
 TEST(Interpreter, TracesRecordMemoryAccesses)
 {
     Kernel k = testing::makeFig1Kernel();
-    MemoryImage mem(1 << 16);
+    MemoryImage mem;
     uint32_t in = mem.allocWords(8);
     uint32_t out = mem.allocWords(8);
     uint32_t out2 = mem.allocWords(8);
@@ -267,7 +267,7 @@ TEST(Interpreter, TracesRecordMemoryAccesses)
 TEST(Interpreter, ParamCountMismatchPanics)
 {
     Kernel k = testing::makeLoopKernel();
-    MemoryImage mem(4096);
+    MemoryImage mem;
     LaunchParams lp;
     lp.params = {Scalar::fromU32(0)};  // needs 2
     EXPECT_DEATH(Interpreter{}.run(k, lp, mem), "expects");

@@ -47,7 +47,7 @@ TEST(SgmfCore, RejectsKernelsLargerThanTheFabric)
     Kernel huge = makeHugeKernel();
     EXPECT_FALSE(core.supports(huge));
 
-    MemoryImage mem(1 << 20);
+    MemoryImage mem;
     uint32_t out = mem.allocWords(64);
     LaunchParams lp;
     lp.numCtas = 1;
@@ -65,7 +65,7 @@ TEST(SgmfCore, RejectsKernelsLargerThanTheFabric)
 TEST(SgmfCore, SingleConfigurationRegardlessOfBlocks)
 {
     Kernel k = testing::makeFig1Kernel();
-    MemoryImage mem(1 << 16);
+    MemoryImage mem;
     uint32_t in = mem.allocWords(8), out = mem.allocWords(8),
              out2 = mem.allocWords(8);
     const int32_t raw[8] = {1, 2, 1, 0, 0, 0, 2, 1};
@@ -86,7 +86,7 @@ TEST(SgmfCore, LoopsReinjectThreads)
 {
     Kernel k = testing::makeLoopKernel();
     auto injections_for = [&k](int trips) {
-        MemoryImage mem(1 << 16);
+        MemoryImage mem;
         uint32_t out = mem.allocWords(32);
         LaunchParams lp;
         lp.numCtas = 1;
@@ -109,7 +109,7 @@ TEST(SgmfCore, DivergenceWastesEnergyNotTime)
     // blocks actually executed.
     Kernel k = testing::makeFig1Kernel();
     auto run_with = [&k](std::vector<int32_t> inputs) {
-        MemoryImage mem(1 << 18);
+        MemoryImage mem;
         int n = int(inputs.size());
         uint32_t in = mem.allocWords(n), out = mem.allocWords(n),
                  out2 = mem.allocWords(n);
@@ -157,7 +157,7 @@ TEST(SgmfCore, DivergenceWastesEnergyNotTime)
 TEST(SgmfCore, NoLvcOrCvtEnergy)
 {
     Kernel k = testing::makeLoopKernel();
-    MemoryImage mem(1 << 16);
+    MemoryImage mem;
     uint32_t out = mem.allocWords(32);
     LaunchParams lp;
     lp.numCtas = 1;

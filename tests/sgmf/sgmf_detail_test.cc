@@ -29,7 +29,7 @@ runLoop(MemoryImage &mem, int threads, int trips)
 
 TEST(SgmfDetail, SmallKernelsReplicateWholeGraph)
 {
-    MemoryImage mem(1 << 20);
+    MemoryImage mem;
     TraceSet t = runLoop(mem, 64, 2);
     RunStats rs = SgmfCore{}.run(t);
     ASSERT_TRUE(rs.supported);
@@ -40,7 +40,7 @@ TEST(SgmfDetail, SmallKernelsReplicateWholeGraph)
 
 TEST(SgmfDetail, ThroughputScalesWithReplicas)
 {
-    MemoryImage m1(1 << 20), m2(1 << 20);
+    MemoryImage m1, m2;
     TraceSet t = runLoop(m1, 2048, 4);
     SgmfConfig one;
     one.maxReplicas = 1;
@@ -56,7 +56,7 @@ TEST(SgmfDetail, OnlyTakenPathMemoryAccessesIssue)
     // Predicated-off memory ops must not reach the cache hierarchy:
     // the L1 access count equals the trace's global access count.
     Kernel k = testing::makeFig1Kernel();
-    MemoryImage mem(1 << 18);
+    MemoryImage mem;
     uint32_t in = mem.allocWords(64), out = mem.allocWords(64),
              out2 = mem.allocWords(64);
     for (int i = 0; i < 64; ++i)
@@ -77,7 +77,7 @@ TEST(SgmfDetail, PipelineDepthCoversTheLongestCfgPath)
     // The whole-kernel critical path must be at least the deepest
     // single block's critical path.
     Kernel k = testing::makeFig1Kernel();
-    MemoryImage mem(1 << 18);
+    MemoryImage mem;
     uint32_t in = mem.allocWords(8), out = mem.allocWords(8),
              out2 = mem.allocWords(8);
     LaunchParams lp;
@@ -100,7 +100,7 @@ TEST(SgmfDetail, EnergyIndependentOfPathsTaken)
     // Compute energy per injection is a whole-graph constant.
     Kernel k = testing::makeFig1Kernel();
     auto energy_for = [&k](int32_t fill) {
-        MemoryImage mem(1 << 18);
+        MemoryImage mem;
         uint32_t in = mem.allocWords(64), out = mem.allocWords(64),
                  out2 = mem.allocWords(64);
         for (int i = 0; i < 64; ++i)

@@ -29,7 +29,7 @@ runPattern(F &&f, uint32_t data_words)
     b.exit();
     Kernel k = kb.finish();
 
-    MemoryImage mem(8u << 20);
+    MemoryImage mem;
     uint32_t data = mem.allocWords(data_words);
     uint32_t out = mem.allocWords(32);
     LaunchParams lp;

@@ -29,7 +29,7 @@ fig1Traces(MemoryImage &mem, int n = 8)
 
 TEST(FermiCore, ConsumesAllWork)
 {
-    MemoryImage mem(1 << 16);
+    MemoryImage mem;
     TraceSet traces = fig1Traces(mem);
     RunStats rs = FermiCore{}.run(traces);
     EXPECT_EQ(rs.dynBlockExecs, traces.totalBlockExecs());
@@ -46,7 +46,7 @@ TEST(FermiCore, DivergencePaysForBothPaths)
     Kernel k = testing::makeFig1Kernel();
 
     auto run_with = [&k](std::vector<int32_t> inputs) {
-        MemoryImage mem(1 << 16);
+        MemoryImage mem;
         int n = int(inputs.size());
         uint32_t in = mem.allocWords(n);
         uint32_t out = mem.allocWords(n);
@@ -86,7 +86,7 @@ TEST(FermiCore, RfAccessesCountedPerWarpOperand)
     blk.exit();
     Kernel k = kb.finish();
 
-    MemoryImage mem(1 << 16);
+    MemoryImage mem;
     uint32_t a = mem.allocWords(32), b = mem.allocWords(32),
              c = mem.allocWords(32);
     LaunchParams lp;
@@ -120,7 +120,7 @@ TEST(FermiCore, CoalescedWarpIssuesOneTransaction)
     blk.exit();
     Kernel k = kb.finish();
 
-    MemoryImage mem(1 << 16);
+    MemoryImage mem;
     uint32_t a = mem.allocWords(32), b = mem.allocWords(32);
     LaunchParams lp;
     lp.numCtas = 1;
@@ -144,7 +144,7 @@ TEST(FermiCore, StridedWarpIssues32Transactions)
     blk.exit();
     Kernel k = kb.finish();
 
-    MemoryImage mem(1 << 20);
+    MemoryImage mem;
     uint32_t a = mem.allocWords(32 * 32), b = mem.allocWords(32);
     LaunchParams lp;
     lp.numCtas = 1;
@@ -170,7 +170,7 @@ TEST(FermiCore, MultipleWarpsHideMemoryLatency)
     Kernel k = kb.finish();
 
     auto cycles_for = [&k](int threads) {
-        MemoryImage mem(1 << 22);
+        MemoryImage mem;
         uint32_t a = mem.allocWords(uint32_t(threads));
         uint32_t b = mem.allocWords(uint32_t(threads));
         LaunchParams lp;
@@ -190,7 +190,7 @@ TEST(FermiCore, BarrierSynchronisesWarpsOfACta)
 {
     const int cta = 64, ctas = 2;  // 2 warps per CTA
     Kernel k = testing::makeBarrierKernel(cta);
-    MemoryImage mem(1 << 18);
+    MemoryImage mem;
     uint32_t in = mem.allocWords(cta * ctas), out = mem.allocWords(cta * ctas);
     for (int i = 0; i < cta * ctas; ++i)
         mem.storeI32(in, i, i);
@@ -206,7 +206,7 @@ TEST(FermiCore, BarrierSynchronisesWarpsOfACta)
 TEST(FermiCore, FrontendAndRfEnergyAreSignificant)
 {
     // The paper's motivation: pipeline + RF ~= 30% of GPGPU power.
-    MemoryImage mem(1 << 16);
+    MemoryImage mem;
     TraceSet traces = fig1Traces(mem);
     RunStats rs = FermiCore{}.run(traces);
     const double fe = rs.energy.get(EnergyComponent::Frontend) +

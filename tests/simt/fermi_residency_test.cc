@@ -47,7 +47,7 @@ traceChain(const Kernel &k, MemoryImage &mem, int ctas, int cta_size)
 TEST(FermiResidency, SingleWarpExposesAluLatency)
 {
     Kernel k = chainKernel(16);
-    MemoryImage mem(1 << 20);
+    MemoryImage mem;
     TraceSet traces = traceChain(k, mem, 1, 32);  // one warp
     FermiConfig cfg;
     RunStats rs = FermiCore(cfg).run(traces);
@@ -58,7 +58,7 @@ TEST(FermiResidency, SingleWarpExposesAluLatency)
 TEST(FermiResidency, ManyWarpsHideAluLatency)
 {
     Kernel k = chainKernel(16);
-    MemoryImage mem1(1 << 20), mem2(1 << 20);
+    MemoryImage mem1, mem2;
     TraceSet one = traceChain(k, mem1, 1, 32);
     TraceSet many = traceChain(k, mem2, 8, 256);  // 64 warps
     RunStats a = FermiCore{}.run(one);
@@ -74,7 +74,7 @@ TEST(FermiResidency, CtaLimitThrottlesThroughput)
     FermiConfig narrow;
     narrow.maxResidentCtas = 1;
 
-    MemoryImage mem(1 << 20);
+    MemoryImage mem;
     TraceSet traces = traceChain(k, mem, 8, 64);  // 8 CTAs, 2 warps each
     RunStats a = FermiCore(wide).run(traces);
     RunStats b = FermiCore(narrow).run(traces);
@@ -86,7 +86,7 @@ TEST(FermiResidency, CtaLimitThrottlesThroughput)
 TEST(FermiResidency, PartialWarpStillExecutes)
 {
     Kernel k = chainKernel(4);
-    MemoryImage mem(1 << 20);
+    MemoryImage mem;
     TraceSet traces = traceChain(k, mem, 1, 20);  // 20 of 32 lanes
     RunStats rs = FermiCore{}.run(traces);
     EXPECT_EQ(rs.dynBlockExecs, 20u);
@@ -112,7 +112,7 @@ TEST(FermiResidency, ScuOpsOccupyTheIssuePortLonger)
         b.exit();
         return kb.finish();
     };
-    MemoryImage m1(1 << 20), m2(1 << 20);
+    MemoryImage m1, m2;
     Kernel ka = build(false), ks = build(true);
     TraceSet ta = traceChain(ka, m1, 4, 256);
     TraceSet ts = traceChain(ks, m2, 4, 256);

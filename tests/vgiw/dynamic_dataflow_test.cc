@@ -53,7 +53,7 @@ missHeavyTraces(MemoryImage &mem)
 
 TEST(DynamicDataflow, LargerMissWindowHidesLatency)
 {
-    MemoryImage mem(4u << 20);
+    MemoryImage mem;
     TraceSet traces = missHeavyTraces(mem);
 
     VgiwConfig narrow, wide;
@@ -83,7 +83,7 @@ TEST(DynamicDataflow, GatherHurtsMoreThanStreaming)
         return kb.finish();
     }();
 
-    MemoryImage mem(1u << 20);
+    MemoryImage mem;
     const int n = 2048;
     uint32_t in = mem.allocWords(n), out = mem.allocWords(n);
     LaunchParams lp;
@@ -92,7 +92,7 @@ TEST(DynamicDataflow, GatherHurtsMoreThanStreaming)
     lp.params = {Scalar::fromU32(in), Scalar::fromU32(out)};
     TraceSet stream = Interpreter{}.run(k, lp, mem);
 
-    MemoryImage gmem(4u << 20);
+    MemoryImage gmem;
     TraceSet gather = missHeavyTraces(gmem);
 
     VgiwConfig narrow, wide;

@@ -33,7 +33,7 @@ fig1Traces(MemoryImage &mem)
 
 TEST(VgiwCore, Fig2MachineStateWalkthrough)
 {
-    MemoryImage mem(1 << 16);
+    MemoryImage mem;
     TraceSet traces = fig1Traces(mem);
 
     // Record the BBS schedule and the coalesced thread vectors.
@@ -75,7 +75,7 @@ TEST(VgiwCore, ThreadVectorCoalescesAcrossControlFlows)
     // BB6's vector unites threads arriving from BB2, BB4 and BB5: the
     // number of reconfigurations depends on the number of basic blocks,
     // not the number of control paths (Section 2).
-    MemoryImage mem(1 << 16);
+    MemoryImage mem;
     TraceSet traces = fig1Traces(mem);
     RunStats rs = VgiwCore{}.run(traces);
     EXPECT_EQ(rs.reconfigs, 6u);  // not 1 + 1 + 1 + 1 + 1 + 3 paths
@@ -85,7 +85,7 @@ TEST(VgiwCore, ThreadVectorCoalescesAcrossControlFlows)
 TEST(VgiwCore, LoopReconfiguresPerIterationButCoalescesThreads)
 {
     Kernel k = testing::makeLoopKernel();
-    MemoryImage mem(1 << 16);
+    MemoryImage mem;
     const int n = 64, trips = 3;
     uint32_t out = mem.allocWords(n);
     LaunchParams lp;
@@ -102,7 +102,7 @@ TEST(VgiwCore, LoopReconfiguresPerIterationButCoalescesThreads)
 
 TEST(VgiwCore, LvcTrafficOnlyForCrossBlockValues)
 {
-    MemoryImage mem(1 << 16);
+    MemoryImage mem;
     TraceSet traces = fig1Traces(mem);
     RunStats rs = VgiwCore{}.run(traces);
     // lv_x: written once per thread in BB1 (8), read once per thread in
@@ -114,7 +114,7 @@ TEST(VgiwCore, LvcTrafficOnlyForCrossBlockValues)
 TEST(VgiwCore, ReplicationAblationSlowsExecution)
 {
     Kernel k = testing::makeLoopKernel();
-    MemoryImage mem(1 << 20);
+    MemoryImage mem;
     const int n = 2048;
     uint32_t out = mem.allocWords(n);
     LaunchParams lp;
@@ -151,7 +151,7 @@ TEST(VgiwCore, TilingPreservesWorkAndBarriers)
 {
     const int cta = 32, ctas = 8;
     Kernel k = testing::makeBarrierKernel(cta);
-    MemoryImage mem(1 << 20);
+    MemoryImage mem;
     uint32_t in = mem.allocWords(cta * ctas);
     uint32_t out = mem.allocWords(cta * ctas);
     for (int i = 0; i < cta * ctas; ++i)
@@ -173,7 +173,7 @@ TEST(VgiwCore, TilingPreservesWorkAndBarriers)
 
 TEST(VgiwCore, EnergyComponentsArePopulated)
 {
-    MemoryImage mem(1 << 16);
+    MemoryImage mem;
     TraceSet traces = fig1Traces(mem);
     RunStats rs = VgiwCore{}.run(traces);
     EXPECT_GT(rs.energy.get(EnergyComponent::Datapath), 0.0);
