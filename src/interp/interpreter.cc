@@ -1,5 +1,6 @@
 #include "interp/interpreter.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
@@ -109,11 +110,90 @@ evalOp(const Instr &in, Scalar a, Scalar b, Scalar c)
     }
 }
 
-/** Per-thread architectural state between block executions. */
-struct ThreadState
+/** A decoded operand: the value at banks[bank][index] (see Program). */
+struct Src
 {
-    std::vector<Scalar> liveVals;
-    bool exited = false;
+    uint32_t bank = 0;
+    uint32_t index = 0;
+};
+
+constexpr uint32_t kFrame = 0;  ///< launch frame bank
+constexpr uint32_t kLive = 1;   ///< the running thread's live values
+
+// Launch frame slots the running thread and block overwrite.
+constexpr uint32_t kTidSlot = 0;    ///< tid, tidInCta, ctaId
+constexpr uint32_t kLocalBase = 3;  ///< instruction i writes slot 3 + i
+
+/**
+ * A kernel's operands decoded for one launch. Every operand is resolved
+ * to a slot of one of two banks. The frame holds the running thread's
+ * tid, tidInCta and ctaId, then the running block's locals, then what
+ * is fixed for the launch: the params, the launch-wide specials and the
+ * constants. The live bank is the running thread's row of the flat
+ * numThreads x numLiveValues live-value array.
+ */
+struct Program
+{
+    std::vector<Scalar> frame;
+    /** Per block, in order: 3 per instruction, 1 per live-out, then
+     * the branch condition. */
+    std::vector<Src> srcs;
+    std::vector<uint32_t> firstSrc;  ///< per block, index into srcs
+
+    Program(const Kernel &k, const LaunchParams &launch)
+    {
+        size_t max_instrs = 0;
+        for (const BasicBlock &b : k.blocks)
+            max_instrs = std::max(max_instrs, b.instrs.size());
+        frame.resize(kLocalBase + max_instrs);
+        const uint32_t params = uint32_t(frame.size());
+        frame.insert(frame.end(), launch.params.begin(),
+                     launch.params.end());
+        const uint32_t launch_specials = uint32_t(frame.size());
+        frame.push_back(Scalar::fromU32(uint32_t(launch.ctaSize)));
+        frame.push_back(Scalar::fromU32(uint32_t(launch.numCtas)));
+        frame.push_back(Scalar::fromU32(uint32_t(launch.numThreads())));
+        const uint32_t none_slot = uint32_t(frame.size());
+        frame.push_back(Scalar{});
+
+        auto decode = [&](const Operand &o) -> Src {
+            switch (o.kind) {
+              case OperandKind::Local: return {kFrame, kLocalBase + o.index};
+              case OperandKind::LiveIn: return {kLive, o.index};
+              case OperandKind::Param: return {kFrame, params + o.index};
+              case OperandKind::Const:
+                frame.push_back(o.constant);
+                return {kFrame, uint32_t(frame.size() - 1)};
+              case OperandKind::Special:
+                switch (o.specialReg()) {
+                  case SpecialReg::Tid: return {kFrame, kTidSlot};
+                  case SpecialReg::TidInCta: return {kFrame, kTidSlot + 1};
+                  case SpecialReg::CtaId: return {kFrame, kTidSlot + 2};
+                  case SpecialReg::CtaSize: return {kFrame, launch_specials};
+                  case SpecialReg::NumCtas:
+                    return {kFrame, launch_specials + 1};
+                  case SpecialReg::NumThreads:
+                    return {kFrame, launch_specials + 2};
+                }
+                vgiw_panic("bad special reg");
+              case OperandKind::None:
+                // Unused operand slot (arity < 3); the verifier has
+                // already checked that real operands are present.
+                return {kFrame, none_slot};
+            }
+            vgiw_panic("bad operand kind");
+        };
+
+        for (const BasicBlock &b : k.blocks) {
+            firstSrc.push_back(uint32_t(srcs.size()));
+            for (const Instr &in : b.instrs)
+                for (const Operand &o : in.src)
+                    srcs.push_back(decode(o));
+            for (const LiveOut &lo : b.liveOuts)
+                srcs.push_back(decode(lo.value));
+            srcs.push_back(decode(b.term.cond));
+        }
+    }
 };
 
 } // namespace
@@ -128,21 +208,22 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
 
     const int num_threads = launch.numThreads();
     const int num_blocks = k.numBlocks();
+    const uint32_t cta_size = uint32_t(launch.ctaSize);
 
-    // Traces are built uncompressed per thread (the block-vector
-    // scheduling below interleaves threads, so streaming per-thread
-    // encoding is impossible) and encoded once at the end. The peak is
-    // transient; only the compressed TraceSet outlives this call.
-    std::vector<ThreadTrace> threads(size_t{unsigned(num_threads)});
+    Program prog(k, launch);
+    Scalar *const frame = prog.frame.data();
+    Scalar *const locals = frame + kLocalBase;
 
-    std::vector<ThreadState> state(num_threads);
-    for (auto &s : state)
-        s.liveVals.assign(size_t(k.numLiveValues), Scalar{});
+    // The block-vector schedule below interleaves threads; the writer
+    // encodes each thread's streams as its executions arrive.
+    TraceWriter trace(num_threads);
 
-    // Per-CTA scratchpads (shared memory).
+    const size_t num_lv = size_t(k.numLiveValues);
+    std::vector<Scalar> live(size_t(num_threads) * num_lv);
+
+    // Per-CTA scratchpads (shared memory), back to back.
     const uint32_t shared_words = uint32_t(k.sharedBytesPerCta + 3) / 4;
-    std::vector<std::vector<uint32_t>> shared(
-        launch.numCtas, std::vector<uint32_t>(shared_words, 0));
+    std::vector<uint32_t> shared(size_t(launch.numCtas) * shared_words, 0);
 
     // Pending thread vectors, one per block; all threads start on block 0.
     std::vector<BitVector> pending;
@@ -177,7 +258,7 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
         }
     };
 
-    std::vector<Scalar> locals;
+    std::vector<uint32_t> tids(num_threads);
     uint64_t total_execs = 0;
 
     while (true) {
@@ -197,96 +278,66 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
         }
 
         const BasicBlock &blk = k.blocks[next];
-        const auto tids = pending[next].toIndices();
-        pending[next].reset();
+        const Src *const block_srcs = prog.srcs.data() + prog.firstSrc[next];
+        const size_t num_tids = pending[next].drainToIndices(tids.data());
 
-        for (uint32_t tid : tids) {
-            ThreadState &ts = state[tid];
-            ThreadTrace &tr = threads[tid];
-            const int cta = int(tid) / launch.ctaSize;
+        for (size_t t = 0; t < num_tids; ++t) {
+            const uint32_t tid = tids[t];
+            const uint32_t cta = tid / cta_size;
 
             if (++total_execs > opts_.maxBlockExecs) {
                 vgiw_fatal("kernel '", k.name,
                            "' exceeded max dynamic block executions");
             }
 
-            BlockExec exec;
-            exec.block = uint16_t(next);
-            exec.accessBegin = uint32_t(tr.accesses.size());
+            frame[kTidSlot] = Scalar::fromU32(tid);
+            frame[kTidSlot + 1] = Scalar::fromU32(tid - cta * cta_size);
+            frame[kTidSlot + 2] = Scalar::fromU32(cta);
+            Scalar *const banks[2] = {frame, live.data() + tid * num_lv};
+            uint32_t *const cta_shared =
+                shared.data() + size_t(cta) * shared_words;
+            auto read = [&](Src s) { return banks[s.bank][s.index]; };
+            const Src *src = block_srcs;
 
-            locals.assign(blk.instrs.size(), Scalar{});
-            auto read = [&](const Operand &o) -> Scalar {
-                switch (o.kind) {
-                  case OperandKind::Local: return locals[o.index];
-                  case OperandKind::LiveIn: return ts.liveVals[o.index];
-                  case OperandKind::Const: return o.constant;
-                  case OperandKind::Param:
-                    return launch.params[o.index];
-                  case OperandKind::Special:
-                    switch (o.specialReg()) {
-                      case SpecialReg::Tid:
-                        return Scalar::fromU32(tid);
-                      case SpecialReg::TidInCta:
-                        return Scalar::fromU32(tid % launch.ctaSize);
-                      case SpecialReg::CtaId:
-                        return Scalar::fromU32(uint32_t(cta));
-                      case SpecialReg::CtaSize:
-                        return Scalar::fromU32(uint32_t(launch.ctaSize));
-                      case SpecialReg::NumCtas:
-                        return Scalar::fromU32(uint32_t(launch.numCtas));
-                      case SpecialReg::NumThreads:
-                        return Scalar::fromU32(uint32_t(num_threads));
-                    }
-                    vgiw_panic("bad special reg");
-                  case OperandKind::None:
-                    // Unused operand slot (arity < 3); the verifier has
-                    // already checked that real operands are present.
-                    return Scalar{};
-                }
-                vgiw_panic("bad operand kind");
-            };
-
-            for (size_t i = 0; i < blk.instrs.size(); ++i) {
+            for (size_t i = 0; i < blk.instrs.size(); ++i, src += 3) {
                 const Instr &in = blk.instrs[i];
+                const bool is_shared = in.space == MemSpace::Shared;
                 if (in.op == Opcode::Load) {
-                    const uint32_t addr = read(in.src[0]).asU32();
+                    const uint32_t addr = read(src[0]).asU32();
                     uint32_t word;
-                    if (in.space == MemSpace::Shared) {
+                    if (is_shared) {
                         vgiw_assert(addr / 4 < shared_words,
                                     "shared load out of range @", addr,
                                     " in kernel ", k.name);
-                        word = shared[cta][addr / 4];
+                        word = cta_shared[addr / 4];
                     } else {
                         word = mem.loadWord(addr);
                     }
                     locals[i] = Scalar(word);
-                    if (opts_.recordTraces) {
-                        tr.accesses.push_back(
-                            {addr, false, in.space == MemSpace::Shared});
-                    }
+                    trace.access(tid, addr, false, is_shared);
                 } else if (in.op == Opcode::Store) {
-                    const uint32_t addr = read(in.src[0]).asU32();
-                    const Scalar val = read(in.src[1]);
-                    if (in.space == MemSpace::Shared) {
+                    const uint32_t addr = read(src[0]).asU32();
+                    const Scalar val = read(src[1]);
+                    if (is_shared) {
                         vgiw_assert(addr / 4 < shared_words,
                                     "shared store out of range @", addr,
                                     " in kernel ", k.name);
-                        shared[cta][addr / 4] = val.bits;
+                        cta_shared[addr / 4] = val.bits;
                     } else {
                         mem.storeWord(addr, val.bits);
                     }
-                    if (opts_.recordTraces) {
-                        tr.accesses.push_back(
-                            {addr, true, in.space == MemSpace::Shared});
-                    }
+                    locals[i] = Scalar{};
+                    trace.access(tid, addr, true, is_shared);
                 } else {
-                    locals[i] = evalOp(in, read(in.src[0]),
-                                       read(in.src[1]), read(in.src[2]));
+                    locals[i] = evalOp(in, read(src[0]), read(src[1]),
+                                       read(src[2]));
                 }
             }
 
-            for (const auto &lo : blk.liveOuts)
-                ts.liveVals[lo.lvid] = read(lo.value);
+            // Live-outs in list order, then the branch condition: a
+            // later live-out or the condition sees earlier writes.
+            for (const LiveOut &lo : blk.liveOuts)
+                banks[kLive][lo.lvid] = read(*src++);
 
             // Terminator.
             int succ = -1;
@@ -295,34 +346,31 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
                 succ = blk.term.target[0];
                 break;
               case TermKind::Branch:
-                succ = read(blk.term.cond).asBool() ? blk.term.target[0]
-                                                    : blk.term.target[1];
+                succ = read(*src).asBool() ? blk.term.target[0]
+                                           : blk.term.target[1];
                 break;
               case TermKind::Exit:
                 succ = -1;
                 break;
             }
 
-            exec.succ = int16_t(succ);
-            exec.accessEnd = uint32_t(tr.accesses.size());
-            tr.execs.push_back(exec);
+            trace.exec(tid, next, succ);
 
             if (succ < 0) {
-                ts.exited = true;
                 --live_in_cta[cta];
-                release_ready_pools(cta);
+                release_ready_pools(int(cta));
             } else if (blk.term.barrier) {
                 BarrierPool &p = pools[size_t(cta) * num_blocks + next];
                 p.arrivals.emplace_back(tid, succ);
                 ++waiting_threads;
-                release_ready_pools(cta);
+                release_ready_pools(int(cta));
             } else {
                 pending[succ].set(tid);
             }
         }
     }
 
-    return TraceSet::fromThreads(&k, launch, threads);
+    return trace.finish(&k, launch);
 }
 
 } // namespace vgiw

@@ -28,8 +28,6 @@ struct InterpOptions
 {
     /** Abort if a single launch exceeds this many dynamic block execs. */
     uint64_t maxBlockExecs = 64ull << 20;
-    /** Record memory accesses in the traces (off saves memory). */
-    bool recordTraces = true;
 };
 
 /** Functional executor / abstract VGIW machine. */
@@ -40,7 +38,8 @@ class Interpreter
 
     /**
      * Execute @p kernel with @p launch against @p mem (updated in place).
-     * Returns the per-thread traces.
+     * Returns the compressed per-thread traces, encoded as the threads
+     * run.
      */
     TraceSet run(const Kernel &kernel, const LaunchParams &launch,
                  MemoryImage &mem) const;

@@ -1,5 +1,7 @@
 #include "interp/trace.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <string_view>
 #include <unordered_map>
@@ -9,112 +11,132 @@
 namespace vgiw
 {
 
-namespace
+TraceWriter::TraceWriter(size_t num_threads) : threads_(num_threads)
 {
-
-struct Tup
-{
-    int32_t block;
-    int32_t succ;
-    uint32_t nacc;
-};
-
-bool
-sameTup(const Tup &a, const Tup &b)
-{
-    return a.block == b.block && a.succ == b.succ && a.nacc == b.nacc;
+    // First capacities sized to the common short thread: with them
+    // most threads never regrow either stream.
+    for (Thread &t : threads_) {
+        t.execBytes.reserve(32);
+        t.accessBytes.reserve(64);
+    }
 }
 
-/**
- * Greedy exec-stream encoder: at each position prefer the longest
- * repeat of the last 1..4 tuples (ties to the shortest distance, whose
- * token is smallest), falling back to a literal. Loop iterations —
- * the bulk of every trace — collapse to one run token each.
- */
 void
-encodeExecs(const std::vector<BlockExec> &execs,
-            std::vector<uint8_t> &out)
+TraceWriter::exec(uint32_t tid, int block, int succ)
 {
-    std::vector<Tup> tups(execs.size());
-    for (size_t i = 0; i < execs.size(); ++i) {
-        tups[i] = Tup{int32_t(execs[i].block), int32_t(execs[i].succ),
-                      execs[i].accessEnd - execs[i].accessBegin};
-    }
+    Thread &t = threads_[tid];
+    const uint32_t j = t.seen++;
+    t.ring[j & 7] = Tup{uint16_t(block), int16_t(succ),
+                        t.numAccesses - t.accessesAtExec};
+    t.accessesAtExec = t.numAccesses;
+    scan(t, j);
+}
 
-    int32_t prev_block = 0;
-    size_t i = 0;
-    while (i < tups.size()) {
-        size_t best_len = 0;
-        uint32_t best_dist = 0;
-        for (uint32_t dist = 1; dist <= 4 && dist <= i; ++dist) {
-            size_t len = 0;
-            while (i + len < tups.size() &&
-                   sameTup(tups[i + len], tups[i + len - dist]))
-                ++len;
-            if (len > best_len) {
-                best_len = len;
-                best_dist = dist;
-            }
+void
+TraceWriter::scan(Thread &t, uint32_t j)
+{
+    while (true) {
+        if (j == t.start)  // j opens a token: distances 1..min(4, j)
+            t.alive = uint8_t((1u << std::min(j, 4u)) - 1);
+        uint8_t still = 0;
+        for (uint32_t d = 1; d <= 4; ++d) {
+            if ((t.alive >> (d - 1) & 1) &&
+                t.ring[j & 7] == t.ring[(j - d) & 7])
+                still |= uint8_t(1u << (d - 1));
         }
-        if (best_len >= 2) {
-            varint::append(out, ((uint64_t(best_len) << 2 |
-                                  uint64_t(best_dist - 1))
-                                 << 1) |
-                                    1);
-            i += best_len;
+        if (still) {
+            t.alive = still;
+            return;
+        }
+        // Every candidate run broke at j: close the token before it.
+        const uint32_t len = j - t.start;
+        if (len >= 2) {
+            emitRun(t, len);
+            t.start = j;
         } else {
-            const Tup &t = tups[i];
-            varint::append(
-                out, varint::zigzag(int64_t(t.block) - prev_block) << 1);
-            varint::append(out,
-                           varint::zigzag(int64_t(t.succ) - t.block));
-            varint::append(out, t.nacc);
-            ++i;
+            emitLiteral(t, t.start);
+            if (++t.start > j)
+                return;
         }
-        prev_block = tups[i - 1].block;
     }
 }
 
 void
-encodeAccesses(const std::vector<MemAccess> &accesses,
-               std::vector<uint8_t> &out)
+TraceWriter::emitRun(Thread &t, uint32_t len)
 {
-    uint32_t prev[2] = {0, 0};
-    for (const MemAccess &a : accesses) {
-        const int chain = a.isShared ? 1 : 0;
-        const int64_t delta = int64_t(a.addr) - int64_t(prev[chain]);
-        prev[chain] = a.addr;
-        varint::append(out, varint::zigzag(delta) << 2 |
-                                uint64_t(a.isShared) << 1 |
-                                uint64_t(a.isStore));
-    }
+    // Every surviving candidate has this length: ties go to the
+    // shortest distance, whose token is smallest.
+    const uint32_t dist = uint32_t(std::countr_zero(t.alive)) + 1;
+    varint::append(t.execBytes, (uint64_t(len) << 2 | (dist - 1)) << 1 | 1);
 }
 
-} // namespace
+void
+TraceWriter::emitLiteral(Thread &t, uint32_t j)
+{
+    const Tup &c = t.ring[j & 7];
+    const int32_t prev_block = j ? int32_t(t.ring[(j - 1) & 7].block) : 0;
+    varint::append(t.execBytes,
+                   varint::zigzag(int64_t(c.block) - prev_block) << 1);
+    varint::append(t.execBytes,
+                   varint::zigzag(int64_t(c.succ) - int64_t(c.block)));
+    varint::append(t.execBytes, c.nacc);
+}
+
+TraceSet
+TraceWriter::finish(const Kernel *kernel, const LaunchParams &launch)
+{
+    TraceSet ts;
+    ts.kernel = kernel;
+    ts.launch = launch;
+    ts.index_.resize(threads_.size());
+    uint64_t exec_len = 0, access_len = 0;
+    for (Thread &t : threads_) {
+        // The open token's candidates all match to the end: a run of
+        // the remaining tuples, or a literal if only one remains.
+        const uint32_t len = t.seen - t.start;
+        if (len >= 2)
+            emitRun(t, len);
+        else if (len == 1)
+            emitLiteral(t, t.start);
+        exec_len += t.execBytes.size();
+        access_len += t.accessBytes.size();
+    }
+    ts.execBytes_.reserve(exec_len);
+    ts.accessBytes_.reserve(access_len);
+    for (size_t tid = 0; tid < threads_.size(); ++tid) {
+        const Thread &t = threads_[tid];
+        TraceSet::ThreadIndex &ix = ts.index_[tid];
+        ix.execOff = ts.execBytes_.size();
+        ix.accessOff = ts.accessBytes_.size();
+        ix.numExecs = t.seen;
+        ix.numAccesses = t.numAccesses;
+        ts.execBytes_.insert(ts.execBytes_.end(), t.execBytes.begin(),
+                             t.execBytes.end());
+        ts.accessBytes_.insert(ts.accessBytes_.end(),
+                               t.accessBytes.begin(), t.accessBytes.end());
+        ts.totalExecs_ += t.seen;
+        ts.totalAccesses_ += t.numAccesses;
+    }
+    threads_.clear();
+    return ts;
+}
 
 TraceSet
 TraceSet::fromThreads(const Kernel *kernel, const LaunchParams &launch,
                       const std::vector<ThreadTrace> &threads)
 {
-    TraceSet ts;
-    ts.kernel = kernel;
-    ts.launch = launch;
-    ts.index_.resize(threads.size());
+    TraceWriter w(threads.size());
     for (size_t tid = 0; tid < threads.size(); ++tid) {
         const ThreadTrace &t = threads[tid];
-        ThreadIndex &ix = ts.index_[tid];
-        ix.execOff = ts.execBytes_.size();
-        ix.accessOff = ts.accessBytes_.size();
-        ix.numExecs = uint32_t(t.execs.size());
-        ix.numAccesses = uint32_t(t.accesses.size());
-        encodeExecs(t.execs, ts.execBytes_);
-        encodeAccesses(t.accesses, ts.accessBytes_);
-        ts.totalExecs_ += t.execs.size();
-        ts.totalAccesses_ += t.accesses.size();
+        for (const BlockExec &e : t.execs) {
+            for (uint32_t k = e.accessBegin; k < e.accessEnd; ++k) {
+                const MemAccess &a = t.accesses[k];
+                w.access(uint32_t(tid), a.addr, a.isStore, a.isShared);
+            }
+            w.exec(uint32_t(tid), e.block, e.succ);
+        }
     }
-    ts.execBytes_.shrink_to_fit();
-    ts.accessBytes_.shrink_to_fit();
-    return ts;
+    return w.finish(kernel, launch);
 }
 
 ThreadTrace

@@ -4,8 +4,9 @@
  *
  * The functional executor records, for every thread, the sequence of basic
  * blocks it executed and the memory accesses each execution issued. All
- * three timing models (VGIW, Fermi-SIMT, SGMF) replay these traces, which
- * guarantees that the architectures are compared on bit-identical work.
+ * four timing models (VGIW, Fermi-SIMT, SGMF, DICE) replay these traces,
+ * which guarantees that the architectures are compared on bit-identical
+ * work.
  *
  * Storage is compressed: TraceCache keeps every traced workload of a
  * sweep resident, and raw BlockExec/MemAccess arrays made the cache the
@@ -13,8 +14,10 @@
  * delta-varint byte streams with an LZ-style run code for the loop
  * repetition that dominates real control flow, and the replay models
  * read them through forward-only ThreadCursor decoders — replay order
- * is strictly sequential per thread in all three models, so nothing
- * ever needs random access.
+ * is strictly sequential per thread in all four models, so nothing
+ * ever needs random access. The streams are written online: the
+ * interpreter feeds every access and block execution to a TraceWriter
+ * as it happens, so no raw per-thread arrays are ever built.
  *
  * Encoded format (per thread, two independent streams):
  *
@@ -82,7 +85,8 @@ struct BlockExec
     uint32_t accessEnd = 0;
 };
 
-/** The full dynamic trace of one thread, materialised. */
+/** The full dynamic trace of one thread, materialised (tests and
+ * inspection; see TraceSet::decodeThread and TraceSet::fromThreads). */
 struct ThreadTrace
 {
     std::vector<BlockExec> execs;
@@ -249,10 +253,10 @@ class TraceSet
     TraceSet() = default;
 
     /**
-     * Encode materialised per-thread traces. The accesses of each
-     * thread must appear in execution order with each exec's
-     * [accessBegin, accessEnd) ranges contiguous — which is how the
-     * functional executor lays them out.
+     * Encode materialised per-thread traces through a TraceWriter. The
+     * accesses of each thread must appear in execution order with each
+     * exec's [accessBegin, accessEnd) ranges contiguous, as
+     * decodeThread() lays them out.
      */
     static TraceSet fromThreads(const Kernel *kernel,
                                 const LaunchParams &launch,
@@ -355,6 +359,8 @@ class TraceSet
     }
 
   private:
+    friend class TraceWriter;
+
     struct ThreadIndex
     {
         uint64_t execOff = 0;    ///< offset into the exec stream
@@ -401,7 +407,7 @@ class TraceSet
     /** Encoded byte span of thread @p tid's access stream. */
     uint64_t accessSpanLen(uint32_t tid) const;
 
-    // Owned storage (fromThreads) ...
+    // Owned storage (TraceWriter::finish) ...
     std::vector<uint8_t> execBytes_;
     std::vector<uint8_t> accessBytes_;
     std::vector<ThreadIndex> index_;
@@ -418,6 +424,84 @@ class TraceSet
 
     uint64_t totalExecs_ = 0;
     uint64_t totalAccesses_ = 0;
+};
+
+/**
+ * Online encoder: builds a TraceSet while the threads of a launch run,
+ * in any interleaving. Each thread reports its accesses with access()
+ * as it issues them and closes every block execution with exec(); the
+ * execution's access count is the number of access() calls since the
+ * thread's previous exec(). finish() concatenates the per-thread
+ * streams.
+ *
+ * The exec stream is the greedy one: at each token start, take the
+ * longest run of the last 1..4 tuples (ties to the shortest distance,
+ * whose token is smallest) if it is at least 2 long, else a literal.
+ * Online, a thread keeps its open token's start and the distances
+ * whose runs still match every tuple since then. All candidate runs
+ * have the same length while they match, so the token closes when the
+ * last of them breaks (or at finish()), as a run of that length at the
+ * shortest of those distances, or as a literal when that length is
+ * below 2. The one tuple already seen past the closed token, the one
+ * that broke it, then opens the next token. A ring of the last 8
+ * tuples covers it, the token start and the 4 tuples each compares
+ * against.
+ */
+class TraceWriter
+{
+  public:
+    explicit TraceWriter(size_t num_threads);
+
+    /** Thread @p tid issued one access within its current execution. */
+    void
+    access(uint32_t tid, uint32_t addr, bool is_store, bool is_shared)
+    {
+        Thread &t = threads_[tid];
+        uint32_t &prev = t.prevAddr[is_shared ? 1 : 0];
+        varint::append(t.accessBytes,
+                       varint::zigzag(int64_t(addr) - int64_t(prev)) << 2 |
+                           uint64_t(is_shared) << 1 | uint64_t(is_store));
+        prev = addr;
+        ++t.numAccesses;
+    }
+
+    /** Thread @p tid finished one execution of @p block. */
+    void exec(uint32_t tid, int block, int succ);
+
+    /** Close every thread's streams; the writer is spent afterwards. */
+    TraceSet finish(const Kernel *kernel, const LaunchParams &launch);
+
+  private:
+    struct Tup
+    {
+        uint16_t block = 0;
+        int16_t succ = 0;
+        uint32_t nacc = 0;
+
+        bool operator==(const Tup &) const = default;
+    };
+
+    struct Thread
+    {
+        std::vector<uint8_t> execBytes;
+        std::vector<uint8_t> accessBytes;
+        uint32_t prevAddr[2] = {0, 0};  ///< [global, shared] delta chains
+        Tup ring[8];          ///< tuple j lives at ring[j & 7]
+        uint32_t seen = 0;    ///< tuples (block executions) so far
+        uint32_t start = 0;   ///< first tuple of the open token
+        uint32_t numAccesses = 0;
+        uint32_t accessesAtExec = 0;  ///< numAccesses at the last exec()
+        uint8_t alive = 0;    ///< bit d-1: the distance-d run still matches
+    };
+
+    /** Extend thread @p t's open token with tuple @p j. */
+    static void scan(Thread &t, uint32_t j);
+    /** Close the open token as a run of @p len tuples. */
+    static void emitRun(Thread &t, uint32_t len);
+    /** Emit tuple @p j as a literal token. */
+    static void emitLiteral(Thread &t, uint32_t j);
+
+    std::vector<Thread> threads_;
 };
 
 } // namespace vgiw

@@ -147,6 +147,79 @@ TEST(InterpOps, Select)
     }
 }
 
+TEST(InterpOps, OperandSourcesAndLiveOutOrder)
+{
+    // Every operand source in one kernel: the six special registers, a
+    // param and a constant, stored per thread; then a block whose
+    // live-outs "swap" lv0 and lv1 and whose branch reads lv0. Live-outs
+    // are written in list order, so the second reads the first's new
+    // value (both end as the old lv1), and the branch condition is read
+    // after all of them (it sees the new lv0, which is nonzero).
+    constexpr int kSlots = 10;
+    KernelBuilder kb("sources", 2);
+    const uint16_t lv0 = kb.newLiveValue();
+    const uint16_t lv1 = kb.newLiveValue();
+    BlockRef entry = kb.block("entry");
+    BlockRef swap = kb.block("swap");
+    BlockRef taken = kb.block("taken");
+    BlockRef fallthrough = kb.block("fallthrough");
+
+    const Operand tid = Operand::special(SpecialReg::Tid);
+    auto slot_addr = [&](BlockRef &b, int slot) {
+        Operand base = b.imul(tid, Operand::constI32(kSlots));
+        return b.elemAddr(Operand::param(0),
+                          b.iadd(base, Operand::constI32(slot)));
+    };
+    const SpecialReg specials[] = {
+        SpecialReg::Tid,     SpecialReg::TidInCta, SpecialReg::CtaId,
+        SpecialReg::CtaSize, SpecialReg::NumCtas,  SpecialReg::NumThreads};
+    for (int s = 0; s < 6; ++s) {
+        entry.store(Type::U32, slot_addr(entry, s),
+                    Operand::special(specials[s]));
+    }
+    entry.store(Type::U32, slot_addr(entry, 6), Operand::param(1));
+    entry.store(Type::U32, slot_addr(entry, 7),
+                Operand::constU32(0xc0ffee));
+    entry.out(lv0, Operand::constU32(0));
+    entry.out(lv1, Operand::param(1));
+    entry.jump(swap);
+
+    swap.out(lv0, swap.in(lv1));
+    swap.out(lv1, swap.in(lv0));
+    swap.branch(swap.in(lv0), taken, fallthrough);
+
+    taken.store(Type::U32, slot_addr(taken, 8), taken.in(lv0));
+    taken.store(Type::U32, slot_addr(taken, 9), taken.in(lv1));
+    taken.exit();
+    fallthrough.store(Type::U32, slot_addr(fallthrough, 8),
+                      Operand::constU32(0xbad));
+    fallthrough.exit();
+    Kernel k = kb.finish();
+
+    const int ctas = 2, cta_size = 3, n = ctas * cta_size;
+    MemoryImage mem;
+    const uint32_t out = mem.allocWords(n * kSlots);
+    LaunchParams lp;
+    lp.numCtas = ctas;
+    lp.ctaSize = cta_size;
+    lp.params = {Scalar::fromU32(out), Scalar::fromU32(77)};
+    Interpreter{}.run(k, lp, mem);
+
+    for (int t = 0; t < n; ++t) {
+        auto at = [&](int s) { return mem.loadU32(out, t * kSlots + s); };
+        EXPECT_EQ(at(0), uint32_t(t)) << "tid, thread " << t;
+        EXPECT_EQ(at(1), uint32_t(t % cta_size)) << "thread " << t;
+        EXPECT_EQ(at(2), uint32_t(t / cta_size)) << "thread " << t;
+        EXPECT_EQ(at(3), uint32_t(cta_size)) << "thread " << t;
+        EXPECT_EQ(at(4), uint32_t(ctas)) << "thread " << t;
+        EXPECT_EQ(at(5), uint32_t(n)) << "thread " << t;
+        EXPECT_EQ(at(6), 77u) << "param, thread " << t;
+        EXPECT_EQ(at(7), 0xc0ffeeu) << "constant, thread " << t;
+        EXPECT_EQ(at(8), 77u) << "lv0 after the swap, thread " << t;
+        EXPECT_EQ(at(9), 77u) << "lv1 after the swap, thread " << t;
+    }
+}
+
 TEST(Interpreter, Fig1DivergentPathsComputeCorrectly)
 {
     Kernel k = testing::makeFig1Kernel();

@@ -5,12 +5,16 @@
  * materialising decoder (decodeThread) and the streaming ThreadCursor
  * must reproduce every block, successor and access exactly. Also pins
  * the shapes the run code exists for (tight loops) actually compress,
- * and that the exec-only blockExecCount walk matches a full decode.
+ * that the exec-only blockExecCount walk matches a full decode, and that
+ * the online TraceWriter emits exactly the bytes of the offline greedy
+ * encoder it replaced, kept here as the oracle.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "interp/trace.hh"
@@ -19,6 +23,114 @@ namespace vgiw
 {
 namespace
 {
+
+// --- Oracle: the offline encoder the online TraceWriter replaced ------
+
+struct Tup
+{
+    int32_t block;
+    int32_t succ;
+    uint32_t nacc;
+};
+
+bool
+sameTup(const Tup &a, const Tup &b)
+{
+    return a.block == b.block && a.succ == b.succ && a.nacc == b.nacc;
+}
+
+/**
+ * Greedy exec-stream encoder: at each position prefer the longest
+ * repeat of the last 1..4 tuples (ties to the shortest distance, whose
+ * token is smallest), falling back to a literal. Loop iterations —
+ * the bulk of every trace — collapse to one run token each.
+ */
+void
+encodeExecs(const std::vector<BlockExec> &execs,
+            std::vector<uint8_t> &out)
+{
+    std::vector<Tup> tups(execs.size());
+    for (size_t i = 0; i < execs.size(); ++i) {
+        tups[i] = Tup{int32_t(execs[i].block), int32_t(execs[i].succ),
+                      execs[i].accessEnd - execs[i].accessBegin};
+    }
+
+    int32_t prev_block = 0;
+    size_t i = 0;
+    while (i < tups.size()) {
+        size_t best_len = 0;
+        uint32_t best_dist = 0;
+        for (uint32_t dist = 1; dist <= 4 && dist <= i; ++dist) {
+            size_t len = 0;
+            while (i + len < tups.size() &&
+                   sameTup(tups[i + len], tups[i + len - dist]))
+                ++len;
+            if (len > best_len) {
+                best_len = len;
+                best_dist = dist;
+            }
+        }
+        if (best_len >= 2) {
+            varint::append(out, ((uint64_t(best_len) << 2 |
+                                  uint64_t(best_dist - 1))
+                                 << 1) |
+                                    1);
+            i += best_len;
+        } else {
+            const Tup &t = tups[i];
+            varint::append(
+                out, varint::zigzag(int64_t(t.block) - prev_block) << 1);
+            varint::append(out,
+                           varint::zigzag(int64_t(t.succ) - t.block));
+            varint::append(out, t.nacc);
+            ++i;
+        }
+        prev_block = tups[i - 1].block;
+    }
+}
+
+void
+encodeAccesses(const std::vector<MemAccess> &accesses,
+               std::vector<uint8_t> &out)
+{
+    uint32_t prev[2] = {0, 0};
+    for (const MemAccess &a : accesses) {
+        const int chain = a.isShared ? 1 : 0;
+        const int64_t delta = int64_t(a.addr) - int64_t(prev[chain]);
+        prev[chain] = a.addr;
+        varint::append(out, varint::zigzag(delta) << 2 |
+                                uint64_t(a.isShared) << 1 |
+                                uint64_t(a.isStore));
+    }
+}
+
+/** The serializeInto() image the oracle encoder implies. */
+std::string
+oracleBlob(const std::vector<ThreadTrace> &threads)
+{
+    std::vector<uint8_t> exec, acc;
+    std::string index;
+    uint64_t execs = 0, accs = 0;
+    for (const ThreadTrace &t : threads) {
+        const uint64_t offs[2] = {exec.size(), acc.size()};
+        const uint32_t counts[2] = {uint32_t(t.execs.size()),
+                                    uint32_t(t.accesses.size())};
+        index.append(reinterpret_cast<const char *>(offs), sizeof offs);
+        index.append(reinterpret_cast<const char *>(counts),
+                     sizeof counts);
+        encodeExecs(t.execs, exec);
+        encodeAccesses(t.accesses, acc);
+        execs += t.execs.size();
+        accs += t.accesses.size();
+    }
+    const uint64_t hdr[5] = {threads.size(), exec.size(), acc.size(),
+                             execs, accs};
+    std::string out(reinterpret_cast<const char *>(hdr), sizeof hdr);
+    out += index;
+    out.append(exec.begin(), exec.end());
+    out.append(acc.begin(), acc.end());
+    return out;
+}
 
 /** Append one execution with @p naccs random accesses. */
 void
@@ -181,6 +293,70 @@ TEST(TraceCodec, EmptyAndSingleExecThreads)
     EXPECT_EQ(ts.numExecs(0), 0u);
     expectEqual(threads[1], ts.decodeThread(1));
     expectEqual(threads[2], ts.decodeThread(2));
+}
+
+/**
+ * A thread biased toward what the run token has to get right: loops of
+ * period 1..4 broken after any number of tuples (so at every offset of
+ * the period, and sometimes within the first period), over a small
+ * tuple alphabet so that runs at other distances match by accident too.
+ * Now and then a block id or a run is long enough to need multi-byte
+ * varints.
+ */
+ThreadTrace
+loopyTrace(std::mt19937_64 &rng)
+{
+    struct Step
+    {
+        int block, succ;
+        uint32_t nacc;
+    };
+    auto random_step = [&] {
+        const int block = rng() % 16 ? int(rng() % 3) : int(rng() % 1000);
+        return Step{block, int(rng() % 4) - 1, uint32_t(rng() % 2)};
+    };
+    ThreadTrace t;
+    const size_t target = rng() % 80;
+    while (t.execs.size() < target) {
+        const size_t period = 1 + rng() % 4;
+        std::vector<Step> body;
+        for (size_t p = 0; p < period; ++p) {
+            // Reuse an earlier body step now and then: inner periods.
+            body.push_back(p && rng() % 3 == 0 ? body[rng() % p]
+                                               : random_step());
+        }
+        const size_t len =
+            rng() % 8 ? rng() % (4 * period + 3) : rng() % 300;
+        for (size_t k = 0; k < len; ++k) {
+            const Step &st = body[k % period];
+            addExec(t, rng, st.block, st.succ, st.nacc);
+        }
+        if (rng() % 2) {
+            const Step st = random_step();
+            addExec(t, rng, st.block, st.succ, st.nacc);
+        }
+    }
+    return t;
+}
+
+TEST(TraceCodec, OnlineWriterMatchesGreedyOracle)
+{
+    std::mt19937_64 rng(2024);
+    for (int round = 0; round < 2500; ++round) {
+        std::vector<ThreadTrace> threads(1 + rng() % 3);
+        for (auto &t : threads)
+            t = loopyTrace(rng);
+        if (round % 10 == 0) {
+            threads.emplace_back();  // a thread that never ran
+            threads.emplace_back();
+            addExec(threads.back(), rng, int(rng() % 5), -1,
+                    uint32_t(rng() % 3));  // one exec, then exit
+        }
+        std::string got;
+        TraceSet::fromThreads(nullptr, LaunchParams{}, threads)
+            .serializeInto(got);
+        ASSERT_EQ(got, oracleBlob(threads)) << "round " << round;
+    }
 }
 
 } // namespace
