@@ -50,12 +50,6 @@ drainRequested()
     return g_drain.load(std::memory_order_acquire);
 }
 
-void
-requestDrain()
-{
-    g_drain.store(true, std::memory_order_release);
-}
-
 int
 drainSignal()
 {

@@ -32,14 +32,10 @@ void installDrainHandlers();
 /** The flag the handlers set — pass &drainFlag() to EngineOptions. */
 const std::atomic<bool> &drainFlag();
 
-/** Whether a drain has been requested (by a signal or requestDrain). */
+/** Whether a drain has been requested (by a signal). */
 bool drainRequested();
 
-/** Set the flag programmatically (tests, embedders with their own
- * signal handling). */
-void requestDrain();
-
-/** Signal number that tripped the flag; 0 when none (or programmatic). */
+/** Signal number that tripped the flag; 0 when none. */
 int drainSignal();
 
 /** Clear the flag and recorded signal (tests). */

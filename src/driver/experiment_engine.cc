@@ -28,7 +28,43 @@ registryMake(const std::string &name)
 std::vector<JobResult>
 ExperimentEngine::run(const std::vector<ExperimentJob> &jobs)
 {
-    std::vector<JobResult> results(jobs.size());
+    return runWith(jobs, [&](const std::vector<size_t> &pending,
+                             const Deliver &deliver) {
+        unsigned workers = opts_.jobs ? opts_.jobs
+                                      : std::thread::hardware_concurrency();
+        if (workers == 0)
+            workers = 1;
+        if (size_t(workers) > pending.size())
+            workers = unsigned(pending.size());
+
+        std::atomic<size_t> next{0};
+        auto work = [&]() {
+            for (size_t n; (n = next.fetch_add(1)) < pending.size();) {
+                // Graceful drain: stop dequeueing; jobs already past
+                // this check run to completion (or to their watchdogs).
+                if (opts_.stop &&
+                    opts_.stop->load(std::memory_order_acquire)) {
+                    break;
+                }
+                const size_t i = pending[n];
+                deliver(i, execute(jobs[i], i));
+            }
+        };
+        if (workers == 1) {
+            work();  // keep single-threaded sweeps trivially debuggable
+        } else {
+            std::vector<std::jthread> pool;
+            pool.reserve(workers);
+            for (unsigned t = 0; t < workers; ++t)
+                pool.emplace_back(work);
+            // jthreads join on scope exit.
+        }
+    });
+}
+
+void
+ExperimentEngine::beginSweep(const std::vector<ExperimentJob> &jobs)
+{
     table_.reset(jobs.size());
     // Labels are only unique within one sweep, so the name->instance
     // memo from a previous run() on this engine must not leak into
@@ -39,6 +75,21 @@ ExperimentEngine::run(const std::vector<ExperimentJob> &jobs)
     // when a previous run published them.
     cache_.setStore(opts_.artifactStore);
     ccache_.setStore(opts_.artifactStore);
+    if (opts_.metrics) {
+        // One sink per job, labelled by its key: slot discipline makes
+        // collection deterministic regardless of worker scheduling.
+        opts_.metrics->reset(jobs.size());
+        for (size_t i = 0; i < jobs.size(); ++i)
+            opts_.metrics->setLabel(i, jobKey(jobs[i]));
+    }
+}
+
+std::vector<JobResult>
+ExperimentEngine::runWith(const std::vector<ExperimentJob> &jobs,
+                          const Executor &executor)
+{
+    std::vector<JobResult> results(jobs.size());
+    beginSweep(jobs);
     if (jobs.empty())
         return results;
 
@@ -50,17 +101,10 @@ ExperimentEngine::run(const std::vector<ExperimentJob> &jobs)
             keys[i] = jobKey(jobs[i]);
     }
 
-    if (opts_.metrics) {
-        // One sink per job, labelled by its key: slot discipline makes
-        // collection deterministic regardless of worker scheduling.
-        opts_.metrics->reset(jobs.size());
-        for (size_t i = 0; i < jobs.size(); ++i)
-            opts_.metrics->setLabel(i, jobKey(jobs[i]));
-    }
-
     // Satisfy journaled jobs verbatim (resume mode); everything else
-    // goes to the worker pool. Pending slots are pre-marked `drained`:
-    // a slot no worker reaches before a stop request keeps the marker.
+    // goes to the executor. Pending slots are pre-marked `drained`: a
+    // slot the executor never delivers before a stop request keeps the
+    // marker.
     std::vector<size_t> pending;
     pending.reserve(jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
@@ -76,7 +120,7 @@ ExperimentEngine::run(const std::vector<ExperimentJob> &jobs)
         }
         if (e) {
             r.restored = true;
-            r.restoredJson = e->jsonLine;
+            r.verbatimJson = e->jsonLine;
             r.goldenPassed = e->golden;
             r.quarantined = e->quarantined;
             if (e->ok) {
@@ -93,82 +137,56 @@ ExperimentEngine::run(const std::vector<ExperimentJob> &jobs)
 
     // Report restored results up-front in submission order, so
     // progress and failure accounting match an uninterrupted run.
-    if (opts_.onResult || opts_.onFailure || opts_.injector) {
+    const bool reporting = opts_.onResult || opts_.onFailure || opts_.injector;
+    if (reporting) {
         for (size_t i = 0; i < results.size(); ++i) {
             if (results[i].restored)
                 report(i, results[i]);
         }
     }
-    if (pending.empty()) {
-        for (size_t i = 0; i < results.size(); ++i)
-            table_.fill(i, results[i]);
-        return results;
-    }
 
-    unsigned workers = opts_.jobs ? opts_.jobs
-                                  : std::thread::hardware_concurrency();
-    if (workers == 0)
-        workers = 1;
-    if (size_t(workers) > pending.size())
-        workers = unsigned(pending.size());
-
-    std::atomic<size_t> next{0};
     std::mutex report_mu;  // serialises the progress/failure callbacks
-
-    auto work = [&]() {
-        for (size_t n; (n = next.fetch_add(1)) < pending.size();) {
-            // Graceful drain: stop dequeueing; jobs already past this
-            // check run to completion (or to their watchdogs).
-            if (opts_.stop &&
-                opts_.stop->load(std::memory_order_acquire)) {
-                break;
-            }
-            const size_t i = pending[n];
-            results[i] = runJobWithRetry(jobs[i], i);
-            if (opts_.metrics) {
-                // Serialise before the callbacks and the journal so
-                // the metrics land in the journaled line (resume
-                // re-emits it verbatim, metrics included).
-                results[i].metricsJson =
-                    opts_.metrics->job(i).countersJson();
-            }
-            if (opts_.onResult || opts_.onFailure || opts_.injector) {
-                std::lock_guard<std::mutex> lock(report_mu);
-                report(i, results[i]);
-            }
-            // Decompose into the columnar table *after* the callbacks
-            // so the row (and the journal line rendered from it)
-            // records any callback-failure demotion — the line on disk
-            // must equal the line the JSON writer will emit.
-            table_.fill(i, results[i]);
-            if (journal) {
-                JournalEntry entry;
-                entry.key = keys[i];
-                entry.ok = results[i].ok();
-                entry.golden = results[i].goldenPassed;
-                entry.quarantined = results[i].quarantined;
-                entry.jsonLine = std::string(table_.renderRow(i));
-                journal->append(entry);
-            }
+    executor(pending, [&](size_t i, JobResult &&result) {
+        results[i] = std::move(result);
+        if (reporting) {
+            std::lock_guard<std::mutex> lock(report_mu);
+            report(i, results[i]);
         }
-    };
-
-    if (workers == 1) {
-        work();  // keep single-threaded sweeps trivially debuggable
-    } else {
-        std::vector<std::jthread> pool;
-        pool.reserve(workers);
-        for (unsigned t = 0; t < workers; ++t)
-            pool.emplace_back(work);
-        // jthreads join on scope exit.
-    }
-    // Restored and drained rows never went through the worker loop;
-    // fill them now so resultTable() covers the whole sweep.
+        // Decompose into the columnar table *after* the callbacks
+        // so the row (and the journal line rendered from it)
+        // records any callback-failure demotion — the line on disk
+        // must equal the line the JSON writer will emit.
+        table_.fill(i, results[i]);
+        if (journal) {
+            JournalEntry entry;
+            entry.key = keys[i];
+            entry.ok = results[i].ok();
+            entry.golden = results[i].goldenPassed;
+            entry.quarantined = results[i].quarantined;
+            entry.jsonLine = std::string(table_.renderRow(i));
+            journal->append(entry);
+        }
+    });
+    // Restored and drained rows were never delivered; fill them now so
+    // resultTable() covers the whole sweep.
     for (size_t i = 0; i < results.size(); ++i) {
         if (!table_.filled(i))
             table_.fill(i, results[i]);
     }
     return results;
+}
+
+JobResult
+ExperimentEngine::execute(const ExperimentJob &job, size_t index)
+{
+    JobResult r = runJobWithRetry(job, index);
+    if (opts_.metrics) {
+        // Serialise before the callbacks and the journal so the
+        // metrics land in the journaled line (resume re-emits it
+        // verbatim, metrics included).
+        r.metricsJson = opts_.metrics->job(index).countersJson();
+    }
+    return r;
 }
 
 JobResult

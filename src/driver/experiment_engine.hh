@@ -113,11 +113,13 @@ struct JobResult
     /** Failed with a retryable kind and exhausted its retry budget. */
     bool quarantined = false;
 
-    /** Satisfied verbatim from a resume journal, not executed; the
-     * original run's JSON line is in restoredJson and toJsonLine
-     * re-emits it byte-for-byte. */
+    /** Satisfied verbatim from a resume journal, not executed. */
     bool restored = false;
-    std::string restoredJson;
+    /** A pre-rendered JSON line that toJsonLine and the result table
+     * re-emit byte-for-byte: the journaled line of a restored job, or
+     * the line a shard worker rendered. Empty for rows rendered from
+     * the fields above. */
+    std::string verbatimJson;
 
     /** Never dispatched: the sweep drained on a stop request before
      * this job started. Not journaled; a resume re-enqueues it. */
@@ -165,7 +167,8 @@ struct EngineOptions
      *
      * Optional fault-injection harness (tests only); not owned. When
      * set, the engine fires the trace/compile/replay/callback points
-     * as each job passes through them.
+     * as each job passes through them (and a shard worker the send
+     * point).
      */
     FaultInjector *injector = nullptr;
 
@@ -293,6 +296,37 @@ class ExperimentEngine
     static std::string sweepHash(const std::vector<ExperimentJob> &jobs);
 
   private:
+    friend class ShardSupervisor;
+
+    /** Hands one pending job's terminal result to the sweep
+     * bookkeeping; safe to call from several threads at once. */
+    using Deliver = std::function<void(size_t index, JobResult &&result)>;
+
+    /** Runs the @p pending job indices and delivers each terminal
+     * result; a job it never delivers (a stop request came first)
+     * stays `drained`. */
+    using Executor = std::function<void(const std::vector<size_t> &pending,
+                                        const Deliver &deliver)>;
+
+    /**
+     * The one sweep loop behind run() and ShardSupervisor::run: journal
+     * restore, up-front reporting of restored rows, and for every
+     * delivered result the guarded callbacks, the table fill and the
+     * journal append. Only the execution of pending jobs is
+     * @p executor's.
+     */
+    std::vector<JobResult> runWith(const std::vector<ExperimentJob> &jobs,
+                                   const Executor &executor);
+
+    /** Reset the per-sweep state (table, name memo, store mount,
+     * metrics slots) for @p jobs. */
+    void beginSweep(const std::vector<ExperimentJob> &jobs);
+
+    /** One job, start to terminal result: runJobWithRetry plus the
+     * metrics serialisation. Pure of sweep bookkeeping, so a shard
+     * worker runs exactly this. */
+    JobResult execute(const ExperimentJob &job, size_t index);
+
     JobResult runJob(const ExperimentJob &job, size_t index);
     /** runJob under the RetryPolicy: escalating watchdog budgets per
      * attempt, quarantine on exhaustion, drain-aware. */

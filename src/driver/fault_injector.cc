@@ -1,7 +1,11 @@
 #include "driver/fault_injector.hh"
 
+#include <algorithm>
+#include <charconv>
+#include <iterator>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <stdexcept>
 #include <thread>
 
@@ -19,8 +23,57 @@ FaultInjector::pointName(Point p)
       case Point::Compile: return "compile";
       case Point::Replay: return "replay";
       case Point::Callback: return "callback";
+      case Point::Send: return "send";
     }
     return "?";
+}
+
+std::optional<FaultSpec>
+FaultSpec::parse(std::string_view spec)
+{
+    static constexpr struct
+    {
+        std::string_view name;
+        Action action;
+        int signo;
+    } kActions[] = {
+        {"segv", Action::Raise, SIGSEGV}, {"kill", Action::Raise, SIGKILL},
+        {"abort", Action::Raise, SIGABRT}, {"mute", Action::Raise, SIGSTOP},
+        {"stall", Action::Stall, 0},       {"badframe", Action::BadFrame, 0},
+    };
+    // A whole field of decimal digits, or nothing.
+    auto number = [](std::string_view field, auto *out) {
+        const char *end = field.data() + field.size();
+        const auto [p, ec] = std::from_chars(field.data(), end, *out);
+        return !field.empty() && ec == std::errc() && p == end;
+    };
+
+    FaultSpec f;
+    const size_t c1 = spec.find(':');
+    const auto *a = std::find_if(
+        std::begin(kActions), std::end(kActions),
+        [&](const auto &k) { return k.name == spec.substr(0, c1); });
+    bool ok = a != std::end(kActions) && c1 != std::string_view::npos;
+    if (ok) {
+        f.action = a->action;
+        f.signo = a->signo;
+        const std::string_view rest = spec.substr(c1 + 1);
+        const size_t c2 = rest.find(':');
+        ok = number(rest.substr(0, c2), &f.job);
+        if (ok && c2 != std::string_view::npos) {
+            ok = f.action == Action::Stall &&
+                 number(rest.substr(c2 + 1), &f.millis) && f.millis >= 0;
+        }
+    }
+    if (!ok) {
+        std::fprintf(stderr,
+                     "VGIW_TEST_FAULT: ignoring malformed spec '%.*s' "
+                     "(want <segv|kill|abort|stall|mute|badframe>:<job>"
+                     "[:<ms>], ms on stall only)\n",
+                     int(spec.size()), spec.data());
+        return std::nullopt;
+    }
+    return f;
 }
 
 void
@@ -53,6 +106,28 @@ FaultInjector::armRaise(Point p, size_t job_index, int signo)
 }
 
 void
+FaultInjector::armCorruptFrame(size_t job_index)
+{
+    arm(Point::Send, job_index, []() {});
+}
+
+void
+FaultInjector::arm(const FaultSpec &spec)
+{
+    switch (spec.action) {
+      case FaultSpec::Action::Raise:
+        armRaise(Point::Replay, spec.job, spec.signo);
+        break;
+      case FaultSpec::Action::Stall:
+        armStall(Point::Replay, spec.job, spec.millis);
+        break;
+      case FaultSpec::Action::BadFrame:
+        armCorruptFrame(spec.job);
+        break;
+    }
+}
+
+void
 FaultInjector::armCorrupt(Point p, size_t job_index)
 {
     const std::string what = std::string("injected corruption at ") +
@@ -73,6 +148,7 @@ FaultInjector::armCorrupt(Point p, size_t job_index)
         arm(p, job_index, [what]() { vgiw_panic(what); });
         break;
       case Point::Callback:
+      case Point::Send:
         arm(p, job_index,
             [what]() { throw std::runtime_error(what); });
         break;
@@ -108,7 +184,7 @@ FaultInjector::arm(Point p, size_t job_index, std::function<void()> fault)
     armed_[Key(uint8_t(p), job_index)] = Rule{std::move(fault), 1};
 }
 
-void
+bool
 FaultInjector::fire(Point p, size_t job_index)
 {
     std::function<void()> fault;
@@ -116,7 +192,7 @@ FaultInjector::fire(Point p, size_t job_index)
         std::lock_guard<std::mutex> lock(mu_);
         auto it = armed_.find(Key(uint8_t(p), job_index));
         if (it == armed_.end())
-            return;
+            return false;
         if (--it->second.remaining == 0) {
             fault = std::move(it->second.fault);
             armed_.erase(it);  // exhausted: later firings pass clean
@@ -126,6 +202,7 @@ FaultInjector::fire(Point p, size_t job_index)
     }
     fired_.fetch_add(1);
     fault();  // outside the lock: the fault may stall or rethrow
+    return true;
 }
 
 } // namespace vgiw

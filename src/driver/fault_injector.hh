@@ -17,12 +17,20 @@
  *   replay   — before CoreModel::run (after a compiled artifact exists)
  *   callback — inside the serialised onResult/onFailure region, as if
  *              the user's callback itself threw
+ *   send     — a shard worker about to write a job's Result frame
  *
  * Canned actions: Throw (an untyped std::runtime_error, exercising the
  * unclassified-exception paths), Panic (a real vgiw_panic, exercising
  * panic capture), Stall (a finite sleep, tripping wall-clock
- * deadlines), Corrupt (a stage-appropriate typed failure). Arbitrary
+ * deadlines), Corrupt (a stage-appropriate typed failure), Raise (a
+ * hard signal) and CorruptFrame (a checksum-bad pipe frame). Arbitrary
  * faults can be armed as callables.
+ *
+ * Shard workers are fork()s of the coordinator, so an injector in the
+ * sweep options is copied into every worker as armed at its fork: a
+ * rule that kills its worker fires again on the job's re-dispatch,
+ * because the fresh worker holds a fresh copy. Job indices are global
+ * submission indices in both modes.
  *
  * Thread-safety: arming and firing may interleave across worker
  * threads; rules fire at most once.
@@ -36,18 +44,43 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 namespace vgiw
 {
 
+/**
+ * A process-kind test fault, parsed from the `VGIW_TEST_FAULT` grammar
+ * `<segv|kill|abort|stall|mute|badframe>:<job>[:<ms>]` — the one way
+ * CLI tests, which cannot pass an injector object, arm a fault.
+ */
+struct FaultSpec
+{
+    enum class Action : uint8_t { Raise, Stall, BadFrame };
+
+    Action action = Action::Raise;
+    /** Raise: segv/kill/abort are SIGSEGV/SIGKILL/SIGABRT; mute is
+     * SIGSTOP — alive but silent, so only the heartbeat timeout can
+     * catch it. */
+    int signo = 0;
+    size_t job = 0;      ///< global job index
+    int millis = 30000;  ///< stall length; `:<ms>` is accepted on stall only
+
+    /** Parse @p spec. A non-numeric or empty index, an unknown action
+     * or trailing text arms nothing: nullopt, plus one stderr line. */
+    static std::optional<FaultSpec> parse(std::string_view spec);
+};
+
 /** Test hook: armed faults the engine detonates at named points. */
 class FaultInjector
 {
   public:
-    /** Stages of the engine's per-job pipeline. */
-    enum class Point : uint8_t { Trace, Compile, Replay, Callback };
+    /** Stages of the engine's per-job pipeline, plus a shard worker's
+     * result write. */
+    enum class Point : uint8_t { Trace, Compile, Replay, Callback, Send };
 
     static const char *pointName(Point p);
 
@@ -72,8 +105,18 @@ class FaultInjector
      */
     void armRaise(Point p, size_t job_index, int signo);
 
+    /** One checksum-bad frame ahead of job @p job_index's Result frame
+     * (the Send point; the shard worker writes it). The coordinator
+     * must skip exactly that record. */
+    void armCorruptFrame(size_t job_index);
+
+    /** Arm @p spec: a raise or a stall at the replay point, or
+     * armCorruptFrame. */
+    void arm(const FaultSpec &spec);
+
     /** A stage-appropriate typed corruption: functional-kind at trace,
-     * compile-kind at compile, a panic at replay, a throw at callback. */
+     * compile-kind at compile, a panic at replay, a throw at callback
+     * or send. */
     void armCorrupt(Point p, size_t job_index);
 
     /**
@@ -93,10 +136,11 @@ class FaultInjector
 
     /**
      * Engine hook: detonate the fault armed at (@p p, @p job_index), if
-     * any. A rule fires at most its armed count of times (once, except
-     * for armTransient). May throw whatever the fault throws.
+     * any, and say whether one fired. A rule fires at most its armed
+     * count of times (once, except for armTransient). May throw
+     * whatever the fault throws.
      */
-    void fire(Point p, size_t job_index);
+    bool fire(Point p, size_t job_index);
 
     /** Number of faults detonated so far. */
     uint64_t fired() const { return fired_.load(); }

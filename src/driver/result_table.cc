@@ -70,7 +70,7 @@ ResultTable::reset(size_t rows)
     arch_.assign(rows, Ref{});
     config_.assign(rows, Ref{});
     error_.assign(rows, Ref{});
-    restoredJson_.assign(rows, Ref{});
+    verbatimJson_.assign(rows, Ref{});
     metricsJson_.assign(rows, Ref{});
     partialCycles_.assign(rows, 0);
     partialBlockExecs_.assign(rows, 0);
@@ -120,8 +120,8 @@ ResultTable::fill(size_t index, const JobResult &r)
         flags |= kSupported;
     if (r.quarantined)
         flags |= kQuarantined;
-    if (r.restored)
-        flags |= kRestored;
+    if (!r.verbatimJson.empty())
+        flags |= kVerbatim;
     if (r.partial.valid)
         flags |= kPartialValid;
     if (r.drained)
@@ -133,7 +133,7 @@ ResultTable::fill(size_t index, const JobResult &r)
         arch_[index] = intern(r.arch);
         config_[index] = intern(r.configLabel);
         error_[index] = intern(r.error);
-        restoredJson_[index] = intern(r.restoredJson);
+        verbatimJson_[index] = intern(r.verbatimJson);
         metricsJson_[index] = intern(r.metricsJson);
         // Row-owned extras (not a shared pool): renderRow() on another
         // row must stay safe while this fill() is appending.
@@ -182,12 +182,6 @@ ResultTable::filled(size_t index) const
     return (flags_[index] & kFilled) != 0;
 }
 
-bool
-ResultTable::drained(size_t index) const
-{
-    return (flags_[index] & kDrained) != 0;
-}
-
 std::string_view
 ResultTable::renderRow(size_t index)
 {
@@ -204,11 +198,12 @@ ResultTable::renderRow(size_t index)
         return out;
     }
 
-    // A restored row re-emits the journaled bytes untouched: this is
+    // A verbatim row (restored, or rendered by a shard worker)
+    // re-emits its bytes untouched: for a restored row this is
     // what makes kill + resume bit-identical to an uninterrupted run
     // even if the serialisation format evolves between releases.
-    if (flags & kRestored) {
-        out.assign(restoredJson_[index].view());
+    if (flags & kVerbatim) {
+        out.assign(verbatimJson_[index].view());
         renderValid_[index] = 1;
         return out;
     }

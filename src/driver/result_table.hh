@@ -81,13 +81,11 @@ class ResultTable
     /** Row has been fill()ed (unfilled rows render as "{}"). */
     bool filled(size_t index) const;
 
-    /** Drained marker of the row, as filled. */
-    bool drained(size_t index) const;
-
     /**
      * The row as a JSON-lines object (no newline) — the single
      * formatting code path behind the journal, --json and toJsonLine.
-     * Restored rows re-emit their journaled bytes verbatim. The view
+     * Rows with a verbatimJson line (restored from a journal, or
+     * rendered by a shard worker) re-emit it byte-for-byte. The view
      * is cached and stays valid until the row is re-filled or the
      * table is reset.
      */
@@ -127,7 +125,7 @@ class ResultTable
         kRan = 1 << 2,
         kSupported = 1 << 3,
         kQuarantined = 1 << 4,
-        kRestored = 1 << 5,
+        kVerbatim = 1 << 5,
         kPartialValid = 1 << 6,
         kDrained = 1 << 7,
     };
@@ -146,7 +144,7 @@ class ResultTable
     std::vector<uint8_t> errorKind_;
     std::vector<uint32_t> attempts_;
     std::vector<Ref> workload_, arch_, config_, error_;
-    std::vector<Ref> restoredJson_, metricsJson_;
+    std::vector<Ref> verbatimJson_, metricsJson_;
     std::vector<uint64_t> partialCycles_, partialBlockExecs_,
         partialThreadOps_;
     std::vector<StatRow> stats_;

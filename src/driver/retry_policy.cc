@@ -1,5 +1,6 @@
 #include "driver/retry_policy.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -13,8 +14,7 @@ RetryPolicy::retryableKind(SimErrorKind kind)
       case SimErrorKind::Watchdog:
       case SimErrorKind::Internal:
       // A crashed worker is environment-sensitive by definition: the
-      // supervisor re-dispatches the job to a fresh process until the
-      // crash budget is exhausted.
+      // supervisor re-dispatches the job to a fresh process.
       case SimErrorKind::WorkerCrash:
         return true;
       case SimErrorKind::None:
@@ -27,10 +27,17 @@ RetryPolicy::retryableKind(SimErrorKind kind)
     return false;
 }
 
+unsigned
+RetryPolicy::attemptBudget(SimErrorKind kind) const
+{
+    return kind == SimErrorKind::WorkerCrash ? std::max(maxAttempts, 2u)
+                                             : maxAttempts;
+}
+
 bool
 RetryPolicy::shouldRetry(SimErrorKind kind, unsigned attempt) const
 {
-    return attempt < maxAttempts && retryableKind(kind);
+    return attempt < attemptBudget(kind) && retryableKind(kind);
 }
 
 WatchdogConfig

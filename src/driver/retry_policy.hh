@@ -48,6 +48,12 @@ struct RetryPolicy
     /** Kinds where a retry can plausibly change the outcome. */
     static bool retryableKind(SimErrorKind kind);
 
+    /** Total attempts a job failing with @p kind may consume:
+     * maxAttempts, except that a `worker_crash` always gets at least
+     * one re-dispatch — a single environmental crash should not
+     * poison a job. */
+    unsigned attemptBudget(SimErrorKind kind) const;
+
     /** Whether a job that failed with @p kind on attempt @p attempt
      * (1-based) should be re-run. */
     bool shouldRetry(SimErrorKind kind, unsigned attempt) const;

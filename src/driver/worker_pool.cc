@@ -6,11 +6,8 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
-#include <functional>
 #include <mutex>
-#include <optional>
 #include <string_view>
 #include <thread>
 
@@ -30,24 +27,11 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-uint64_t
-envMsOverride(const char *name, uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    char *end = nullptr;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    return (end && *end == '\0') ? n : fallback;
-}
-
 /** Consecutive CorruptRecord reads tolerated on one stream before the
  * peer is declared desynchronised. Aligned single-record corruption is
  * skippable by design; a *run* of bad checksums usually means a
  * corrupted length field took the framing with it. */
 constexpr unsigned kMaxConsecutiveCorrupt = 3;
-
-std::atomic<bool> g_mute_heartbeats{false};
 
 // ---------------------------------------------------------------------
 // Payload codecs. Native layout: the peers are fork()s of one process;
@@ -55,12 +39,10 @@ std::atomic<bool> g_mute_heartbeats{false};
 
 enum : uint8_t
 {
-    kMsgOk = 1 << 0,
-    kMsgGolden = 1 << 1,
-    kMsgRan = 1 << 2,
-    kMsgSupported = 1 << 3,
-    kMsgQuarantined = 1 << 4,
-    kMsgDrained = 1 << 5,
+    kMsgGolden = 1 << 0,
+    kMsgRan = 1 << 1,
+    kMsgSupported = 1 << 2,
+    kMsgQuarantined = 1 << 3,
 };
 
 void
@@ -81,21 +63,23 @@ getString(ByteReader &rd, std::string *out)
     return len == 0;
 }
 
-/** FrameType::Result payload, decoded. */
-struct ResultMsg
+/** A result row labelled with its job's identity, ready to fill. */
+JobResult
+labelled(const ExperimentJob &job)
 {
-    uint64_t index = 0;
-    bool ok = false, golden = false, ran = false, supported = false;
-    bool quarantined = false, drained = false;
-    SimErrorKind kind = SimErrorKind::None;
-    uint32_t attempts = 1;
-    uint64_t cycles = 0;
-    double systemPj = 0.0;
-    double l1MissRate = 0.0;
-    std::string error;
-    std::string jsonLine;
-};
+    JobResult r;
+    r.workload = job.workload;
+    r.arch = job.arch;
+    r.configLabel = job.configLabel;
+    return r;
+}
 
+/**
+ * FrameType::Result payload: the outcome fields of @p r, the stats
+ * subset the sweep report prints (support, cycles, energy parts, L1
+ * counts), and the rendered row, which the coordinator re-emits
+ * verbatim.
+ */
 std::string
 encodeResultMsg(uint64_t index, const JobResult &r,
                 std::string_view jsonLine)
@@ -104,8 +88,6 @@ encodeResultMsg(uint64_t index, const JobResult &r,
     ByteWriter w(payload);
     w.u64(index);
     uint8_t flags = 0;
-    if (r.ok())
-        flags |= kMsgOk;
     if (r.goldenPassed)
         flags |= kMsgGolden;
     if (r.ran)
@@ -114,53 +96,52 @@ encodeResultMsg(uint64_t index, const JobResult &r,
         flags |= kMsgSupported;
     if (r.quarantined)
         flags |= kMsgQuarantined;
-    if (r.drained)
-        flags |= kMsgDrained;
     w.u8(flags);
     w.u8(uint8_t(r.errorKind));
     w.u32(r.attempts);
     w.u64(r.stats.cycles);
-    w.f64(r.stats.energy.systemPj());
-    w.f64(r.stats.l1Stats.missRate());
+    for (size_t c = 0; c < kNumEnergyComponents; ++c)
+        w.f64(r.stats.energy.get(EnergyComponent(c)));
+    const CacheStats &l1 = r.stats.l1Stats;
+    w.u64(l1.readHits);
+    w.u64(l1.readMisses);
+    w.u64(l1.writeHits);
+    w.u64(l1.writeMisses);
     putString(w, r.error);
     putString(w, jsonLine);
     return payload;
 }
 
+/** Decode a Result payload into @p out (labelled by the caller). */
 bool
-decodeResultMsg(const std::string &payload, ResultMsg *out)
+decodeResultMsg(const std::string &payload, uint64_t *index, JobResult *out)
 {
     ByteReader rd(payload.data(), payload.size());
-    out->index = rd.u64();
+    *index = rd.u64();
     const uint8_t flags = rd.u8();
-    out->ok = flags & kMsgOk;
-    out->golden = flags & kMsgGolden;
+    out->goldenPassed = flags & kMsgGolden;
     out->ran = flags & kMsgRan;
-    out->supported = flags & kMsgSupported;
+    out->stats.supported = flags & kMsgSupported;
     out->quarantined = flags & kMsgQuarantined;
-    out->drained = flags & kMsgDrained;
-    out->kind = SimErrorKind(rd.u8());
+    out->errorKind = SimErrorKind(rd.u8());
     out->attempts = rd.u32();
-    out->cycles = rd.u64();
-    out->systemPj = rd.f64();
-    out->l1MissRate = rd.f64();
-    if (!getString(rd, &out->error) || !getString(rd, &out->jsonLine))
+    out->stats.cycles = rd.u64();
+    for (size_t c = 0; c < kNumEnergyComponents; ++c)
+        out->stats.energy.add(EnergyComponent(c), rd.f64());
+    CacheStats &l1 = out->stats.l1Stats;
+    l1.readHits = rd.u64();
+    l1.readMisses = rd.u64();
+    l1.writeHits = rd.u64();
+    l1.writeMisses = rd.u64();
+    if (!getString(rd, &out->error) || !getString(rd, &out->verbatimJson))
         return false;
     return rd.done();
 }
 
-/** FrameType::Stats payload: final per-worker cache/store counters. */
-struct StatsMsg
-{
-    uint64_t functionalExecutions = 0;
-    uint64_t compilations = 0;
-    uint64_t storeHits = 0;
-    uint64_t storeMisses = 0;
-    uint64_t storeBytesMapped = 0;
-};
-
+/** FrameType::Stats payload: the fleet-summed SupervisorStats fields
+ * as one worker saw them at exit. */
 std::string
-encodeStatsMsg(const StatsMsg &m)
+encodeStatsMsg(const SupervisorStats &m)
 {
     std::string payload;
     ByteWriter w(payload);
@@ -172,119 +153,41 @@ encodeStatsMsg(const StatsMsg &m)
     return payload;
 }
 
+/** Add one worker's Stats payload into @p sum. */
 bool
-decodeStatsMsg(const std::string &payload, StatsMsg *out)
+addStatsMsg(const std::string &payload, SupervisorStats *sum)
 {
     ByteReader rd(payload.data(), payload.size());
-    out->functionalExecutions = rd.u64();
-    out->compilations = rd.u64();
-    out->storeHits = rd.u64();
-    out->storeMisses = rd.u64();
-    out->storeBytesMapped = rd.u64();
-    return rd.done();
+    SupervisorStats m;
+    m.functionalExecutions = rd.u64();
+    m.compilations = rd.u64();
+    m.storeHits = rd.u64();
+    m.storeMisses = rd.u64();
+    m.storeBytesMapped = rd.u64();
+    if (!rd.done())
+        return false;
+    sum->functionalExecutions += m.functionalExecutions;
+    sum->compilations += m.compilations;
+    sum->storeHits += m.storeHits;
+    sum->storeMisses += m.storeMisses;
+    sum->storeBytesMapped += m.storeBytesMapped;
+    return true;
 }
 
-// ---------------------------------------------------------------------
-// Test faults: VGIW_TEST_FAULT="<kind>:<n>[:<millis>]", armed inside a
-// worker when it reaches global job index n.
-
-struct TestFault
-{
-    enum class Kind
-    {
-        None,
-        Segv,
-        Kill,
-        Abort,
-        Stall,
-        Mute,
-        BadFrame, ///< emit one corrupt-checksum frame before job n
-    };
-    Kind kind = Kind::None;
-    uint64_t index = 0;
-    int millis = 0;
-};
-
-TestFault
-parseTestFault(const char *spec)
-{
-    TestFault f;
-    if (!spec || !*spec)
-        return f;
-    std::string s(spec);
-    const size_t c1 = s.find(':');
-    if (c1 == std::string::npos)
-        return f;
-    const std::string action = s.substr(0, c1);
-    const size_t c2 = s.find(':', c1 + 1);
-    const std::string idx = s.substr(
-        c1 + 1, c2 == std::string::npos ? std::string::npos : c2 - c1 - 1);
-    f.index = std::strtoull(idx.c_str(), nullptr, 10);
-    if (c2 != std::string::npos)
-        f.millis = int(std::strtoul(s.c_str() + c2 + 1, nullptr, 10));
-    if (action == "segv")
-        f.kind = TestFault::Kind::Segv;
-    else if (action == "kill")
-        f.kind = TestFault::Kind::Kill;
-    else if (action == "abort")
-        f.kind = TestFault::Kind::Abort;
-    else if (action == "stall")
-        f.kind = TestFault::Kind::Stall;
-    else if (action == "mute")
-        f.kind = TestFault::Kind::Mute;
-    else if (action == "badframe")
-        f.kind = TestFault::Kind::BadFrame;
-    return f;
-}
-
-/** Arm a process-kind fault on @p injector (the engine's Replay
- * point). BadFrame is not an injector fault; the worker loop acts on it
- * directly. */
-void
-armTestFault(const TestFault &f, FaultInjector &injector)
-{
-    using Point = FaultInjector::Point;
-    // The worker engine runs one job at a time, so the local index the
-    // injector sees is always 0.
-    switch (f.kind) {
-      case TestFault::Kind::Segv:
-        injector.armRaise(Point::Replay, 0, SIGSEGV);
-        break;
-      case TestFault::Kind::Kill:
-        injector.armRaise(Point::Replay, 0, SIGKILL);
-        break;
-      case TestFault::Kind::Abort:
-        injector.armRaise(Point::Replay, 0, SIGABRT);
-        break;
-      case TestFault::Kind::Stall:
-        injector.armStall(Point::Replay, 0, f.millis ? f.millis : 30000);
-        break;
-      case TestFault::Kind::Mute:
-        // A silent worker: alive and busy but no heartbeats — the
-        // supervisor's timeout, not waitpid, has to catch this one.
-        g_mute_heartbeats.store(true, std::memory_order_relaxed);
-        injector.armStall(Point::Replay, 0, f.millis ? f.millis : 30000);
-        break;
-      case TestFault::Kind::None:
-      case TestFault::Kind::BadFrame:
-        break;  // not an injector fault; the worker loop emits it
-    }
-}
-
-// ---------------------------------------------------------------------
-// The worker body and the coordinator's scheduling structure.
+} // namespace
 
 /**
  * The forked worker's main loop: read Job frames carrying u64 indices
- * into @p jobs, run each through a worker-lifetime ExperimentEngine,
- * stream back Result frames rendered with ResultTable::renderRow (the
- * byte-identity contract), heartbeat from a side thread, send a final
- * Stats frame, honour Shutdown/EOF/drain. Returns the worker exit code.
+ * into @p jobs, run each through a worker-lifetime ExperimentEngine
+ * under its global index (so injector rules and metrics slots match an
+ * in-process run), stream back Result frames rendered with
+ * ResultTable::renderRow (the byte-identity contract), heartbeat from
+ * a side thread, send a final Stats frame, honour Shutdown/EOF/drain.
+ * Returns the worker exit code.
  */
 int
-runShardWorker(int in_fd, int out_fd,
-               const std::vector<ExperimentJob> &jobs,
-               const ShardOptions &opts)
+ShardSupervisor::workerMain(int in_fd, int out_fd,
+                            const std::vector<ExperimentJob> &jobs) const
 {
     ignoreSigpipe();
     installDrainHandlers();
@@ -304,23 +207,20 @@ runShardWorker(int in_fd, int out_fd,
         }
     }
 
-    const TestFault fault = parseTestFault(std::getenv("VGIW_TEST_FAULT"));
-
-    FaultInjector injector;
+    // The sweep options as inherited; execute() touches neither the
+    // journal nor the callbacks, which stay the coordinator's.
     MetricsCollector collector;
-    EngineOptions eopts;
-    eopts.jobs = 1;
-    eopts.retry = opts.retry;
-    eopts.artifactStore = opts.artifactStore;
-    eopts.injector = &injector;
+    EngineOptions eopts = opts_.engine;
     eopts.stop = &drainFlag();
-    if (opts.collectMetrics)
+    if (eopts.metrics)
         eopts.metrics = &collector;
     // One engine for the worker's lifetime: its trace/compile caches
     // persist across jobs, so a worker that sees a workload twice
     // traces it once — and with a shared artifact store, the whole
     // fleet traces it once.
     ExperimentEngine engine(eopts);
+    engine.beginSweep(jobs);
+    ResultTable &table = engine.resultTable();
 
     // The heartbeat thread shares the result fd; a mutex keeps frames
     // from interleaving mid-write.
@@ -328,10 +228,10 @@ runShardWorker(int in_fd, int out_fd,
     std::atomic<bool> beat_stop{false};
     std::thread beater([&]() {
         const auto interval =
-            std::chrono::milliseconds(opts.heartbeatIntervalMs);
+            std::chrono::milliseconds(opts_.heartbeatIntervalMs);
         auto next = Clock::now();
         while (!beat_stop.load(std::memory_order_acquire)) {
-            if (!g_mute_heartbeats.load(std::memory_order_relaxed)) {
+            {
                 std::lock_guard<std::mutex> lock(write_mu);
                 writeFrame(out_fd, FrameType::Heartbeat, {});
             }
@@ -374,47 +274,35 @@ runShardWorker(int in_fd, int out_fd,
             rc = 1;
             break;
         }
-        if (fault.kind == TestFault::Kind::BadFrame &&
-            fault.index == index) {
+
+        const JobResult r = engine.execute(jobs[index], size_t(index));
+        table.fill(size_t(index), r);
+        const std::string payload =
+            encodeResultMsg(index, r, table.renderRow(size_t(index)));
+        std::lock_guard<std::mutex> lock(write_mu);
+        if (eopts.injector &&
+            eopts.injector->fire(FaultInjector::Point::Send, index)) {
             // Corruption-recovery drill: one checksum-bad (but
-            // length-valid) frame ahead of the real result. The
-            // supervisor must skip exactly this record, count it, and
-            // parse everything after it.
-            std::lock_guard<std::mutex> lock(write_mu);
+            // length-valid) frame ahead of the real result.
             writeCorruptFrameForTest(out_fd, FrameType::Heartbeat,
                                      "corrupt-record-drill");
-        } else if (fault.kind != TestFault::Kind::None &&
-                   fault.index == index) {
-            armTestFault(fault, injector);
         }
-        if (opts.workerPreJob)
-            opts.workerPreJob(size_t(index));
-
-        auto results = engine.run({jobs[index]});
-        const JobResult &r = results[0];
-        const std::string_view line = engine.resultTable().renderRow(0);
-        const std::string payload = encodeResultMsg(index, r, line);
-        {
-            std::lock_guard<std::mutex> lock(write_mu);
-            if (!writeFrame(out_fd, FrameType::Result, payload)) {
-                rc = 1;  // coordinator is gone; nothing left to do
-                break;
-            }
-        }
-        if (r.drained)
+        if (!writeFrame(out_fd, FrameType::Result, payload)) {
+            rc = 1;  // coordinator is gone; nothing left to do
             break;
+        }
     }
 
     // Final counters — sent even on drain so the coordinator's summary
     // covers what this worker did before stopping.
-    StatsMsg stats;
+    SupervisorStats stats;
     stats.functionalExecutions =
         engine.traceCache().functionalExecutions();
     stats.compilations = engine.compileCache().compilations();
-    if (opts.artifactStore) {
-        stats.storeHits = opts.artifactStore->hits();
-        stats.storeMisses = opts.artifactStore->misses();
-        stats.storeBytesMapped = opts.artifactStore->bytesMapped();
+    if (ArtifactStore *store = opts_.engine.artifactStore) {
+        stats.storeHits = store->hits();
+        stats.storeMisses = store->misses();
+        stats.storeBytesMapped = store->bytesMapped();
     }
     {
         std::lock_guard<std::mutex> lock(write_mu);
@@ -427,88 +315,6 @@ runShardWorker(int in_fd, int out_fd,
     return rc;
 }
 
-/**
- * Round-robin per-worker job queues with work stealing: a worker that
- * drains its own queue steals from the *back* of the longest other
- * queue — the victim keeps its front (likely warm in its worker's
- * caches), the thief takes the tail.
- */
-class JobQueues
-{
-  public:
-    explicit JobQueues(size_t workers) : queues_(workers) {}
-
-    /** Deal @p jobs round-robin across the queues. */
-    void
-    deal(const std::vector<size_t> &jobs)
-    {
-        for (size_t k = 0; k < jobs.size(); ++k)
-            queues_[k % queues_.size()].push_back(jobs[k]);
-    }
-
-    /** Requeue at the front: a re-dispatched job keeps priority. */
-    void pushFront(size_t q, size_t job) { queues_[q].push_front(job); }
-
-    bool
-    anyWork() const
-    {
-        for (const auto &q : queues_)
-            if (!q.empty())
-                return true;
-        return false;
-    }
-
-    /** Take the next job for worker @p q: own front, else steal from
-     * the longest other queue's back (counting it in @p steals). */
-    std::optional<size_t>
-    take(size_t q, uint64_t *steals)
-    {
-        if (!queues_[q].empty()) {
-            const size_t j = queues_[q].front();
-            queues_[q].pop_front();
-            return j;
-        }
-        size_t victim = queues_.size();
-        for (size_t o = 0; o < queues_.size(); ++o) {
-            if (o == q || queues_[o].empty())
-                continue;
-            if (victim == queues_.size() ||
-                queues_[o].size() > queues_[victim].size())
-                victim = o;
-        }
-        if (victim == queues_.size())
-            return std::nullopt;
-        const size_t j = queues_[victim].back();
-        queues_[victim].pop_back();
-        if (steals)
-            ++*steals;
-        return j;
-    }
-
-    /** Drain every queue, invoking @p fn on each queued job. */
-    template <typename Fn>
-    void
-    drainAll(Fn &&fn)
-    {
-        for (auto &q : queues_) {
-            for (size_t j : q)
-                fn(j);
-            q.clear();
-        }
-    }
-
-  private:
-    std::vector<std::deque<size_t>> queues_;
-};
-
-} // namespace
-
-void
-muteWorkerHeartbeatsForTest(bool mute)
-{
-    g_mute_heartbeats.store(mute, std::memory_order_relaxed);
-}
-
 std::string
 SupervisorStats::countersJson() const
 {
@@ -517,124 +323,52 @@ SupervisorStats::countersJson() const
                   "{\"supervisor.corrupt_frames\":%llu,"
                   "\"supervisor.crashes\":%llu,"
                   "\"supervisor.heartbeat_misses\":%llu,"
-                  "\"supervisor.restarts\":%llu,"
-                  "\"supervisor.steals\":%llu}",
+                  "\"supervisor.restarts\":%llu}",
                   (unsigned long long)corruptFrames,
                   (unsigned long long)crashes,
                   (unsigned long long)heartbeatMisses,
-                  (unsigned long long)restarts,
-                  (unsigned long long)steals);
+                  (unsigned long long)restarts);
     return buf;
 }
 
-ShardSupervisor::ShardSupervisor(ShardOptions opts) : opts_(std::move(opts))
+ShardSupervisor::ShardSupervisor(ShardOptions opts)
+    : opts_(std::move(opts)), engine_(opts_.engine)
 {
-    opts_.heartbeatIntervalMs =
-        envMsOverride("VGIW_SHARD_HEARTBEAT_MS", opts_.heartbeatIntervalMs);
-    opts_.heartbeatTimeoutMs = envMsOverride(
-        "VGIW_SHARD_HEARTBEAT_TIMEOUT_MS", opts_.heartbeatTimeoutMs);
-    opts_.respawnBackoffMs =
-        envMsOverride("VGIW_SHARD_BACKOFF_MS", opts_.respawnBackoffMs);
-    opts_.respawnBackoffCapMs = envMsOverride("VGIW_SHARD_BACKOFF_CAP_MS",
-                                              opts_.respawnBackoffCapMs);
     if (opts_.heartbeatIntervalMs == 0)
         opts_.heartbeatIntervalMs = 250;
     if (opts_.heartbeatTimeoutMs < 2 * opts_.heartbeatIntervalMs)
         opts_.heartbeatTimeoutMs = 2 * opts_.heartbeatIntervalMs;
-    if (opts_.respawnBackoffCapMs < opts_.respawnBackoffMs)
-        opts_.respawnBackoffCapMs = opts_.respawnBackoffMs;
 }
 
 std::vector<ShardRow>
 ShardSupervisor::run(const std::vector<ExperimentJob> &jobs)
 {
-    std::vector<ShardRow> rows(jobs.size());
-    table_.reset(jobs.size());
     stats_ = SupervisorStats{};
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        rows[i].workload = jobs[i].workload;
-        rows[i].arch = jobs[i].arch;
-        rows[i].configLabel = jobs[i].configLabel;
-    }
-    if (jobs.empty())
-        return rows;
-
     ignoreSigpipe();
+    std::vector<JobResult> results = engine_.runWith(
+        jobs, [&](const std::vector<size_t> &pending,
+                  const ExperimentEngine::Deliver &deliver) {
+            supervise(jobs, pending, deliver);
+        });
 
-    std::vector<std::string> keys(jobs.size());
-    for (size_t i = 0; i < jobs.size(); ++i)
-        keys[i] = ExperimentEngine::jobKey(jobs[i]);
-
-    // Guarded progress callbacks, mirroring the engine: a throwing
-    // observer must not take down the coordinator.
-    size_t done = 0;
-    auto report = [&](size_t i) {
-        const ShardRow &row = rows[i];
-        try {
-            if (opts_.onResult)
-                opts_.onResult(i, row);
-        } catch (...) {
-        }
-        if (!row.ok && !row.drained && opts_.onFailure) {
-            try {
-                opts_.onFailure(row);
-            } catch (...) {
-            }
-        }
-    };
-
-    // Restore journaled jobs verbatim, then report them up-front in
-    // submission order — identical accounting to a single-process
-    // resume.
-    std::vector<size_t> pending;
-    pending.reserve(jobs.size());
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        const JournalEntry *e = nullptr;
-        if (opts_.journal) {
-            auto it = opts_.journal->entries().find(keys[i]);
-            if (it != opts_.journal->entries().end())
-                e = &it->second;
-        }
-        if (!e) {
-            pending.push_back(i);
-            continue;
-        }
-        ShardRow &row = rows[i];
-        row.restored = true;
-        row.ok = e->ok;
-        row.golden = e->golden;
-        row.quarantined = e->quarantined;
-        row.ran = e->ok;
-        row.jsonLine = e->jsonLine;
-        if (!e->ok) {
-            row.error = "failed in the journaled run (restored "
-                        "verbatim; see the journal entry)";
-        }
-        JobResult jr;
-        jr.workload = jobs[i].workload;
-        jr.arch = jobs[i].arch;
-        jr.configLabel = jobs[i].configLabel;
-        jr.restored = true;
-        jr.restoredJson = e->jsonLine;
-        jr.goldenPassed = e->golden;
-        jr.quarantined = e->quarantined;
-        if (e->ok)
-            jr.ran = true;
-        else
-            jr.error = row.error;
-        table_.fill(i, jr);
-        ++done;
-    }
+    std::vector<ShardRow> rows(results.size());
     for (size_t i = 0; i < rows.size(); ++i) {
-        if (rows[i].restored)
-            report(i);
+        ShardRow &row = rows[i];
+        row.ok = results[i].ok();
+        row.golden = results[i].goldenPassed;
+        if (!results[i].drained)
+            row.jsonLine = engine_.resultTable().renderRow(i);
+        static_cast<JobResult &>(row) = std::move(results[i]);
     }
-    if (pending.empty())
-        return rows;
+    return rows;
+}
 
-    unsigned nshards = std::max(opts_.shards, 1u);
-    if (size_t(nshards) > pending.size())
-        nshards = unsigned(pending.size());
+void
+ShardSupervisor::supervise(const std::vector<ExperimentJob> &jobs,
+                           const std::vector<size_t> &pending,
+                           const ExperimentEngine::Deliver &deliver)
+{
+    const RetryPolicy &retry = opts_.engine.retry;
 
     struct Slot
     {
@@ -642,6 +376,7 @@ ShardSupervisor::run(const std::vector<ExperimentJob> &jobs)
         ChildProcess cp{};
         bool alive = false;
         bool busy = false;
+        bool reported = false;  ///< the final Stats frame arrived
         size_t job = 0;
         Clock::time_point dispatched{};
         Clock::time_point lastBeat{};
@@ -651,112 +386,30 @@ ShardSupervisor::run(const std::vector<ExperimentJob> &jobs)
         std::string pendingReason;  ///< supervisor-initiated kill cause
         BackoffSchedule backoff{};
     };
-    std::vector<Slot> slots(nshards);
+    std::vector<Slot> slots(
+        std::min<size_t>(std::max(opts_.shards, 1u), pending.size()));
     for (size_t s = 0; s < slots.size(); ++s) {
         slots[s].id = s;
         slots[s].backoff.baseMs = opts_.respawnBackoffMs;
-        slots[s].backoff.capMs = opts_.respawnBackoffCapMs;
         // Decorrelate the slots' jitter streams; the schedule itself
         // stays deterministic per (seed, attempt).
         slots[s].backoff.seed =
             (uint64_t(::getpid()) << 32) ^ uint64_t(s + 1);
     }
-    JobQueues queues(nshards);
-    queues.deal(pending);
 
+    // One FIFO: whichever worker is idle takes the front, and a job
+    // whose worker died goes back to the front.
+    std::deque<size_t> queue(pending.begin(), pending.end());
     std::vector<unsigned> dispatches(jobs.size(), 0);
-    const unsigned crash_budget =
-        opts_.crashAttempts
-            ? opts_.crashAttempts
-            : 1 + std::max(opts_.retry.maxAttempts, 2u) - 1;
-
     bool draining = false;
 
-    auto finalizeDrained = [&](size_t i) {
-        rows[i].drained = true;
-        JobResult jr;
-        jr.workload = jobs[i].workload;
-        jr.arch = jobs[i].arch;
-        jr.configLabel = jobs[i].configLabel;
-        jr.drained = true;
-        table_.fill(i, jr);
-        ++done;
-    };
-
-    auto finalizeCrash = [&](size_t i, const std::string &why) {
-        JobResult jr;
-        jr.workload = jobs[i].workload;
-        jr.arch = jobs[i].arch;
-        jr.configLabel = jobs[i].configLabel;
-        jr.error = why;
-        jr.errorKind = SimErrorKind::WorkerCrash;
-        jr.attempts = std::max(dispatches[i], 1u);
-        jr.quarantined = true;
-        table_.fill(i, jr);
-        ShardRow &row = rows[i];
-        row.ok = false;
-        row.golden = false;
-        row.ran = false;
-        row.quarantined = true;
-        row.errorKind = SimErrorKind::WorkerCrash;
-        row.attempts = jr.attempts;
-        row.error = why;
-        row.jsonLine = std::string(table_.renderRow(i));
-        if (opts_.journal) {
-            JournalEntry entry;
-            entry.key = keys[i];
-            entry.ok = false;
-            entry.golden = false;
-            entry.quarantined = true;
-            entry.jsonLine = row.jsonLine;
-            opts_.journal->append(entry);
-        }
-        report(i);
-        ++done;
-    };
-
-    auto finalizeResult = [&](const ResultMsg &m) {
-        const size_t i = size_t(m.index);
-        ShardRow &row = rows[i];
-        row.ok = m.ok;
-        row.golden = m.golden;
-        row.ran = m.ran;
-        row.supported = m.supported;
-        row.quarantined = m.quarantined;
-        row.errorKind = m.kind;
-        row.attempts = m.attempts;
-        row.error = m.error;
-        row.cycles = m.cycles;
-        row.energySystemPj = m.systemPj;
-        row.l1MissRate = m.l1MissRate;
-        row.jsonLine = m.jsonLine;
-        // Re-emit the worker-rendered bytes verbatim (the restored-row
-        // mechanism): the coordinator's --json output is then
-        // byte-identical to a single-process run by construction.
-        JobResult jr;
-        jr.workload = jobs[i].workload;
-        jr.arch = jobs[i].arch;
-        jr.configLabel = jobs[i].configLabel;
-        jr.restored = true;
-        jr.restoredJson = m.jsonLine;
-        jr.goldenPassed = m.golden;
-        jr.quarantined = m.quarantined;
-        if (m.ok)
-            jr.ran = true;
-        else
-            jr.error = m.error;
-        table_.fill(i, jr);
-        if (opts_.journal) {
-            JournalEntry entry;
-            entry.key = keys[i];
-            entry.ok = m.ok;
-            entry.golden = m.golden;
-            entry.quarantined = m.quarantined;
-            entry.jsonLine = m.jsonLine;
-            opts_.journal->append(entry);
-        }
-        report(i);
-        ++done;
+    auto crash = [&](size_t i, std::string why) {
+        JobResult r = labelled(jobs[i]);
+        r.error = std::move(why);
+        r.errorKind = SimErrorKind::WorkerCrash;
+        r.attempts = std::max(dispatches[i], 1u);
+        r.quarantined = true;
+        deliver(i, std::move(r));
     };
 
     size_t spawn_failures = 0;
@@ -776,7 +429,7 @@ ShardSupervisor::run(const std::vector<ExperimentJob> &jobs)
             [this, &jobs, &other_fds](int in_fd, int out_fd) {
                 for (int fd : other_fds)
                     ::close(fd);
-                return runShardWorker(in_fd, out_fd, jobs, opts_);
+                return workerMain(in_fd, out_fd, jobs);
             },
             &s.cp, &err);
         if (!ok) {
@@ -785,87 +438,63 @@ ShardSupervisor::run(const std::vector<ExperimentJob> &jobs)
                          err.c_str());
             s.backoffUntil =
                 Clock::now() + std::chrono::milliseconds(1000);
-            return false;
+            return;
         }
-        s.alive = true;
-        s.busy = false;
+        s.alive = true;  // (death() already cleared busy and the reason)
+        s.reported = false;
         s.lastBeat = Clock::now();
-        s.pendingReason.clear();
         s.consecutiveCorrupt = 0;
         if (respawn)
             ++stats_.restarts;
         std::fprintf(stderr, "shard worker %zu %s (pid %d)\n", s.id,
                      respawn ? "respawned" : "started", int(s.cp.pid));
-        return true;
     };
 
-    auto dispatch = [&](Slot &s, size_t i) {
+    auto dispatch = [&](Slot &s) {
+        const size_t i = queue.front();
         std::string payload;
         ByteWriter w(payload);
         w.u64(uint64_t(i));
-        ++dispatches[i];
         if (!writeFrame(s.cp.toChild, FrameType::Job, payload)) {
             // The worker died between spawn and dispatch; the reap path
-            // below will notice. Undo the dispatch accounting.
-            --dispatches[i];
-            queues.pushFront(s.id, i);
+            // below will notice, and the job stays at the front.
             s.pendingReason = "job dispatch failed (pipe closed)";
             return;
         }
+        queue.pop_front();
+        ++dispatches[i];
         s.busy = true;
         s.job = i;
         s.dispatched = Clock::now();
     };
 
-    // Forward declaration dance: handleFrame is used by both the poll
-    // loop and the pre-death pipe drain.
-    std::function<void(Slot &, const Frame &)> handleFrame =
-        [&](Slot &s, const Frame &frame) {
-            switch (frame.type) {
-              case FrameType::Heartbeat:
-                s.lastBeat = Clock::now();
-                break;
-              case FrameType::Result: {
-                ResultMsg m;
-                if (!decodeResultMsg(frame.payload, &m) ||
-                    m.index >= jobs.size()) {
-                    break;  // corrupt payload; the checksum said Ok,
-                            // but be defensive about the layout
-                }
-                if (!s.busy || s.job != size_t(m.index))
-                    break;  // stale/duplicate result: drop
-                s.busy = false;
-                s.consecutiveCrashes = 0;
-                if (m.drained) {
-                    // The worker drained before running the job. While
-                    // the sweep itself is draining that is the job's
-                    // terminal state; otherwise (a stray signal hit
-                    // one worker) the job is still owed a run.
-                    --dispatches[m.index];
-                    if (draining)
-                        finalizeDrained(size_t(m.index));
-                    else
-                        queues.pushFront(s.id, size_t(m.index));
-                    break;
-                }
-                finalizeResult(m);
-                break;
-              }
-              case FrameType::Stats: {
-                StatsMsg m;
-                if (!decodeStatsMsg(frame.payload, &m))
-                    break;
-                stats_.functionalExecutions += m.functionalExecutions;
-                stats_.compilations += m.compilations;
-                stats_.storeHits += m.storeHits;
-                stats_.storeMisses += m.storeMisses;
-                stats_.storeBytesMapped += m.storeBytesMapped;
-                break;
-              }
-              default:
-                break;  // workers do not send Job/Shutdown
+    auto handleFrame = [&](Slot &s, const Frame &frame) {
+        switch (frame.type) {
+          case FrameType::Heartbeat:
+            s.lastBeat = Clock::now();
+            break;
+          case FrameType::Result: {
+            if (!s.busy)
+                break;  // stale/duplicate result: drop
+            JobResult r = labelled(jobs[s.job]);
+            uint64_t index = 0;
+            if (!decodeResultMsg(frame.payload, &index, &r) ||
+                index != s.job) {
+                break;  // corrupt payload; the checksum said Ok, but
+                        // be defensive about the layout
             }
-        };
+            s.busy = false;
+            s.consecutiveCrashes = 0;
+            deliver(s.job, std::move(r));
+            break;
+          }
+          case FrameType::Stats:
+            s.reported |= addStatsMsg(frame.payload, &stats_);
+            break;
+          default:
+            break;  // workers do not send Job/Shutdown
+        }
+    };
 
     auto closeSlotFds = [](Slot &s) {
         if (s.cp.toChild >= 0)
@@ -875,31 +504,30 @@ ShardSupervisor::run(const std::vector<ExperimentJob> &jobs)
         s.cp.toChild = s.cp.fromChild = -1;
     };
 
-    /** Drain buffered frames (non-blocking) so a Result or Stats the
-     * worker managed to send before dying is not lost with the pipe.
-     * Checksum-bad but aligned records are skipped and counted, same
-     * as in the live poll loop. */
-    auto drainPipe = [&](Slot &s) {
-        while (s.cp.fromChild >= 0) {
-            struct pollfd pfd = {s.cp.fromChild, POLLIN, 0};
-            if (::poll(&pfd, 1, 0) <= 0 || !(pfd.revents & POLLIN))
-                break;
-            Frame frame;
-            const ReadStatus st = readFrame(s.cp.fromChild, &frame);
-            if (st == ReadStatus::CorruptRecord) {
-                ++stats_.corruptFrames;
-                continue;
-            }
-            if (st != ReadStatus::Ok)
-                break;
+    /** Read one frame off the worker's pipe and act on it. A
+     * checksum-bad but aligned record is skipped and counted. */
+    auto readOne = [&](Slot &s) {
+        Frame frame;
+        const ReadStatus st = readFrame(s.cp.fromChild, &frame);
+        if (st == ReadStatus::Ok)
             handleFrame(s, frame);
-        }
+        else if (st == ReadStatus::CorruptRecord)
+            ++stats_.corruptFrames;
+        return st;
+    };
+    auto readable = [](ReadStatus st) {
+        return st == ReadStatus::Ok || st == ReadStatus::CorruptRecord;
     };
 
     auto death = [&](Slot &s) {
         if (!s.alive)
             return;
-        drainPipe(s);
+        // Drain buffered frames first (non-blocking), so a Result or
+        // Stats the worker sent before dying is not lost with the pipe.
+        struct pollfd pfd = {s.cp.fromChild, POLLIN, 0};
+        while (::poll(&pfd, 1, 0) > 0 && (pfd.revents & POLLIN) &&
+               readable(readOne(s))) {
+        }
         closeSlotFds(s);
         // SIGKILL before the blocking reap: if the child is alive but
         // wedged (it sent a torn frame, say), waitpid must not hang
@@ -924,14 +552,14 @@ ShardSupervisor::run(const std::vector<ExperimentJob> &jobs)
                          "%s (attempt %u/%u)\n",
                          s.id, int(s.cp.pid), jobs[i].workload.c_str(),
                          jobs[i].arch.c_str(), why.c_str(),
-                         dispatches[i], crash_budget);
-            if (dispatches[i] >= crash_budget) {
-                finalizeCrash(i, "worker crashed: " + why);
-            } else if (draining) {
-                finalizeDrained(i);
-            } else {
-                queues.pushFront(s.id, i);
-            }
+                         dispatches[i],
+                         retry.attemptBudget(SimErrorKind::WorkerCrash));
+            if (!retry.shouldRetry(SimErrorKind::WorkerCrash,
+                                   dispatches[i])) {
+                crash(i, "worker crashed: " + why);
+            } else if (!draining) {
+                queue.push_front(i);
+            }  // else the sweep is draining: the job stays drained
             s.backoffUntil =
                 Clock::now() +
                 std::chrono::milliseconds(
@@ -944,67 +572,55 @@ ShardSupervisor::run(const std::vector<ExperimentJob> &jobs)
         }
     };
 
-    for (Slot &s : slots) {
-        if (queues.anyWork())
-            spawn(s, /*respawn=*/false);
-    }
+    for (Slot &s : slots)
+        spawn(s, /*respawn=*/false);
 
-    while (done < jobs.size()) {
+    std::vector<struct pollfd> fds;
+    std::vector<size_t> fd_slot;
+    for (;;) {
         const auto now = Clock::now();
 
-        if (!draining && opts_.stop &&
-            opts_.stop->load(std::memory_order_acquire)) {
+        if (!draining && opts_.engine.stop &&
+            opts_.engine.stop->load(std::memory_order_acquire)) {
             // Propagate the drain to the whole fleet: workers share
             // the drain-handler installation, so the forwarded signal
             // sets *their* flag and they exit after the in-flight job.
+            // Queued jobs are never delivered and so stay drained.
             draining = true;
+            queue.clear();
             const int sig = drainSignal() ? drainSignal() : SIGTERM;
             for (Slot &s : slots) {
                 if (s.alive)
                     killChild(s.cp.pid, sig);
             }
         }
-        if (draining) {
-            queues.drainAll(finalizeDrained);
-            bool any_busy = false;
-            for (const Slot &s : slots)
-                any_busy |= s.alive && s.busy;
-            if (!any_busy)
-                break;
-        } else {
+        bool any_busy = false;
+        for (const Slot &s : slots)
+            any_busy |= s.alive && s.busy;
+        if (queue.empty() && !any_busy)
+            break;
+
+        if (!queue.empty()) {
+            bool any_alive = false;
             for (Slot &s : slots) {
-                if (!s.alive && now >= s.backoffUntil &&
-                    queues.anyWork()) {
+                if (!s.alive && now >= s.backoffUntil && !queue.empty())
                     spawn(s, /*respawn=*/true);
-                }
+                if (s.alive && !s.busy && !queue.empty())
+                    dispatch(s);
+                any_alive |= s.alive;
             }
-            for (Slot &s : slots) {
-                if (s.alive && !s.busy) {
-                    if (auto j = queues.take(s.id, &stats_.steals))
-                        dispatch(s, *j);
-                }
-            }
-            if (spawn_failures > 0 && !queues.anyWork()) {
-                // nothing queued; in-flight jobs still complete below
-            } else if (spawn_failures >= 4 * slots.size()) {
+            if (!any_alive && spawn_failures >= 4 * slots.size()) {
                 // fork() persistently failing: fail the remaining jobs
                 // rather than spinning forever.
-                bool any_alive = false;
-                for (const Slot &s : slots)
-                    any_alive |= s.alive;
-                if (!any_alive) {
-                    queues.drainAll([&](size_t j) {
-                        dispatches[j] = crash_budget;
-                        finalizeCrash(j, "worker crashed: cannot "
-                                         "spawn worker process");
-                    });
-                    continue;
-                }
+                for (size_t i : queue)
+                    crash(i, "worker crashed: cannot spawn worker process");
+                queue.clear();
+                continue;
             }
         }
 
-        std::vector<struct pollfd> fds;
-        std::vector<size_t> fd_slot;
+        fds.clear();
+        fd_slot.clear();
         for (size_t s = 0; s < slots.size(); ++s) {
             if (slots[s].alive && slots[s].cp.fromChild >= 0) {
                 fds.push_back({slots[s].cp.fromChild, POLLIN, 0});
@@ -1019,26 +635,22 @@ ShardSupervisor::run(const std::vector<ExperimentJob> &jobs)
                     if (!s.alive)
                         continue;
                     if (fds[k].revents & POLLIN) {
-                        Frame frame;
-                        const ReadStatus st =
-                            readFrame(s.cp.fromChild, &frame);
+                        const ReadStatus st = readOne(s);
                         if (st == ReadStatus::Ok) {
                             s.consecutiveCorrupt = 0;
-                            handleFrame(s, frame);
-                        } else if (st == ReadStatus::Interrupted) {
-                            // re-check the drain flag next iteration
                         } else if (st == ReadStatus::CorruptRecord) {
-                            // Aligned corruption: skip exactly this
-                            // record and keep the stream. A run of
+                            // Aligned corruption: the record was
+                            // skipped and the stream kept. A run of
                             // them means real desync — kill then.
-                            ++stats_.corruptFrames;
                             if (++s.consecutiveCorrupt >=
                                 kMaxConsecutiveCorrupt) {
                                 s.pendingReason =
                                     "repeated corrupt frames; killed";
                                 death(s);
                             }
-                        } else {
+                        } else if (st != ReadStatus::Interrupted) {
+                            // (Interrupted: re-check the drain flag
+                            // next iteration.)
                             if (st == ReadStatus::Corrupt) {
                                 s.pendingReason =
                                     "sent a corrupt frame; killed";
@@ -1050,41 +662,34 @@ ShardSupervisor::run(const std::vector<ExperimentJob> &jobs)
                     }
                 }
             }
-        } else if (done < jobs.size()) {
+        } else {
             // No live pipes (all workers backing off): nap briefly so
             // the backoff loop is not a busy spin.
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
         }
 
+        // The two clocks: SIGKILL now, classify the death at the reap.
         const auto after = Clock::now();
+        auto overran = [&](Clock::time_point since, uint64_t ms) {
+            return after - since > std::chrono::milliseconds(ms);
+        };
         for (Slot &s : slots) {
-            if (!s.alive)
+            if (!s.alive || !s.pendingReason.empty())
                 continue;
-            using std::chrono::duration_cast;
-            using std::chrono::milliseconds;
             if (s.busy && opts_.jobDeadlineMs &&
-                duration_cast<milliseconds>(after - s.dispatched)
-                        .count() > int64_t(opts_.jobDeadlineMs) &&
-                s.pendingReason.empty()) {
-                char buf[96];
-                std::snprintf(buf, sizeof buf,
-                              "job deadline exceeded (%llu ms); killed",
-                              (unsigned long long)opts_.jobDeadlineMs);
-                s.pendingReason = buf;
-                killChild(s.cp.pid, SIGKILL);
-            }
-            if (duration_cast<milliseconds>(after - s.lastBeat)
-                        .count() > int64_t(opts_.heartbeatTimeoutMs) &&
-                s.pendingReason.empty()) {
+                overran(s.dispatched, opts_.jobDeadlineMs)) {
+                s.pendingReason = "job deadline exceeded (" +
+                                  std::to_string(opts_.jobDeadlineMs) +
+                                  " ms); killed";
+            } else if (overran(s.lastBeat, opts_.heartbeatTimeoutMs)) {
                 ++stats_.heartbeatMisses;
-                char buf[96];
-                std::snprintf(buf, sizeof buf,
-                              "heartbeat silent for %llu ms; killed",
-                              (unsigned long long)
-                                  opts_.heartbeatTimeoutMs);
-                s.pendingReason = buf;
-                killChild(s.cp.pid, SIGKILL);
+                s.pendingReason = "heartbeat silent for " +
+                                  std::to_string(opts_.heartbeatTimeoutMs) +
+                                  " ms; killed";
+            } else {
+                continue;
             }
+            killChild(s.cp.pid, SIGKILL);
         }
         for (Slot &s : slots) {
             if (!s.alive)
@@ -1110,42 +715,24 @@ ShardSupervisor::run(const std::vector<ExperimentJob> &jobs)
         s.cp.toChild = -1;
     }
     for (Slot &s : slots) {
-        if (!s.alive || s.cp.fromChild < 0)
+        if (!s.alive)
             continue;
         const auto deadline =
             Clock::now() + std::chrono::milliseconds(3000);
-        for (;;) {
+        while (!s.reported && Clock::now() < deadline) {
             struct pollfd pfd = {s.cp.fromChild, POLLIN, 0};
             const int n = ::poll(&pfd, 1, 100);
             if (n > 0 && (pfd.revents & POLLIN)) {
-                Frame frame;
-                const ReadStatus st = readFrame(s.cp.fromChild, &frame);
-                if (st == ReadStatus::CorruptRecord) {
-                    ++stats_.corruptFrames;
-                    continue;
-                }
-                if (st != ReadStatus::Ok)
+                if (!readable(readOne(s)))
                     break;
-                handleFrame(s, frame);
-                if (frame.type == FrameType::Stats)
-                    break;
-                continue;
+            } else if (n > 0 && (pfd.revents & (POLLHUP | POLLERR))) {
+                break;
             }
-            if (n > 0 && (pfd.revents & (POLLHUP | POLLERR)))
-                break;
-            if (Clock::now() >= deadline)
-                break;
         }
-    }
-    for (Slot &s : slots) {
-        if (!s.alive)
-            continue;
         closeSlotFds(s);
-        const auto deadline =
-            Clock::now() + std::chrono::milliseconds(2000);
+        const auto grace = Clock::now() + std::chrono::milliseconds(2000);
         ChildStatus st = pollChild(s.cp.pid);
-        while (st.state == ChildState::Running &&
-               Clock::now() < deadline) {
+        while (st.state == ChildState::Running && Clock::now() < grace) {
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
             st = pollChild(s.cp.pid);
         }
@@ -1155,8 +742,6 @@ ShardSupervisor::run(const std::vector<ExperimentJob> &jobs)
         }
         s.alive = false;
     }
-
-    return rows;
 }
 
 } // namespace vgiw

@@ -9,86 +9,61 @@
  * execution into forked worker processes (`vgiw_run --suite --shards N`)
  * so a hard fault costs one worker, not the sweep:
  *
+ *  - **One job loop**: the sweep bookkeeping — journal restore and
+ *    append, guarded onResult/onFailure, the ResultTable — is
+ *    ExperimentEngine's, exactly as in-process. The supervisor is only
+ *    the engine's executor for pending jobs, and keeps the process
+ *    concerns: spawn, heartbeat, deadline kill, reap and frame I/O.
  *  - **Workers** are fork()ed (no exec — they inherit the parsed job
  *    list, including custom make() closures, through the address
  *    space), each runs jobs one at a time through its own
  *    ExperimentEngine, and streams the engine-rendered JSON result rows
  *    back over a checksummed pipe protocol (common/subprocess).
+ *  - **Dispatch**: one FIFO of pending jobs; whichever worker is idle
+ *    takes its front. A job whose worker died goes back to the front
+ *    and is re-dispatched to a fresh worker while
+ *    RetryPolicy::shouldRetry(WorkerCrash, n) allows (by default once),
+ *    then recorded as a terminal, quarantined `worker_crash` row. Dead
+ *    workers are respawned with jittered exponential backoff.
  *  - **Supervision**: workers send heartbeats; the coordinator enforces
  *    a heartbeat timeout and an optional per-job wall-clock deadline.
- *    A worker that dies or goes silent is reaped via waitpid, its
- *    in-flight job is re-dispatched to a fresh worker until the crash
- *    budget is exhausted — then recorded as a terminal `worker_crash`
- *    row with attempts/quarantined fields — and the worker is respawned
- *    with exponential backoff.
- *  - **Work stealing**: jobs are partitioned round-robin into per-worker
- *    queues; an idle worker steals from the back of the longest other
- *    queue, so one straggler (or one crashing-and-backing-off shard)
- *    does not serialise the tail.
- *  - **Exactly-once**: a job is owned by at most one live worker at a
- *    time, and the coordinator is the journal's single writer. Job
- *    identity is ExperimentEngine::jobKey, the same key the resume
- *    path uses, so kill + resume semantics carry over unchanged.
  *  - **Byte-identity**: workers render rows with the same
- *    ResultTable::renderRow the single-process engine uses, and the
- *    coordinator re-emits those bytes verbatim (the restored-row
- *    mechanism) — so shard-mode --json output is byte-identical to a
- *    single-process run for every surviving job.
+ *    ResultTable::renderRow the in-process engine uses, and the
+ *    coordinator re-emits those bytes verbatim — so shard-mode --json
+ *    output is byte-identical to an in-process run for every surviving
+ *    job, and journal lines do not depend on the mode.
  *
- * The artifact store (PR 7) is opened before forking and shared
- * read/write across the fleet: publication is atomic-rename, loads
- * validate checksums, so concurrent workers warm-start from and feed
- * the same store — a warm sharded sweep traces and compiles nothing.
- *
- * The Result/Stats payload codecs, the worker main loop, the per-worker
- * job queues and the VGIW_TEST_FAULT=<segv|kill|abort|stall|mute|
- * badframe>:<job> hook are private to worker_pool.cc: the fork()ed
- * worker and the coordinator are the protocol's only two parties.
+ * The artifact store is opened before forking and shared read/write
+ * across the fleet: publication is atomic-rename, loads validate
+ * checksums, so a warm sharded sweep traces and compiles nothing.
+ * Tests fault workers through the FaultInjector in the engine options,
+ * which every worker inherits armed (fault_injector.hh).
  */
 
 #ifndef VGIW_DRIVER_WORKER_POOL_HH
 #define VGIW_DRIVER_WORKER_POOL_HH
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "common/sim_error.hh"
 #include "driver/experiment_engine.hh"
 
 namespace vgiw
 {
 
-/** One terminal sweep-point outcome as the coordinator saw it. */
-struct ShardRow
+/**
+ * One terminal sweep-point outcome of a sharded sweep: the engine's
+ * JobResult plus the verdicts and the line callers read. For rows a
+ * worker ran, `stats` holds the report subset (supported, cycles,
+ * energy parts, L1 counts); the full stats are in jsonLine.
+ */
+struct ShardRow : JobResult
 {
-    std::string workload;
-    std::string arch;
-    std::string configLabel;
-
-    bool ok = false;        ///< ran in a worker and succeeded
-    bool golden = false;    ///< golden check verdict
-    bool ran = false;       ///< stats fields below are meaningful
-    bool supported = false; ///< arch supports the kernel (ran rows)
-    bool quarantined = false;
-    bool restored = false;  ///< satisfied verbatim from the journal
-    bool drained = false;   ///< never ran: interrupted before dispatch
-
-    SimErrorKind errorKind = SimErrorKind::None;
-    unsigned attempts = 1;  ///< dispatches (crashes) or in-worker tries
-    std::string error;      ///< diagnostic; empty on success
-
-    // The ASCII-report subset of RunStats (the full stats live in the
-    // JSON line; shipping the whole RunStats over the pipe would just
-    // duplicate the rendered row).
-    uint64_t cycles = 0;
-    double energySystemPj = 0.0;
-    double l1MissRate = 0.0;
-
-    /** The worker-rendered JSON-lines object (empty for drained rows);
-     * byte-identical to what a single-process run emits for this job. */
+    bool ok = false;      ///< JobResult::ok(), which this hides
+    bool golden = false;  ///< goldenPassed
+    /** The JSON-lines object (empty for drained rows); byte-identical
+     * to what an in-process run emits for this job. */
     std::string jsonLine;
 };
 
@@ -99,7 +74,6 @@ struct SupervisorStats
 {
     uint64_t restarts = 0;        ///< workers respawned after a death
     uint64_t crashes = 0;         ///< worker deaths with a job in flight
-    uint64_t steals = 0;          ///< jobs taken from another shard's queue
     uint64_t heartbeatMisses = 0; ///< silent workers killed by timeout
     uint64_t corruptFrames = 0;   ///< checksum-bad records skipped in-stream
 
@@ -115,27 +89,24 @@ struct SupervisorStats
     std::string countersJson() const;
 };
 
-/** Coordinator knobs. Env overrides (applied in the constructor, for
- * tests and ops tuning): VGIW_SHARD_HEARTBEAT_MS,
- * VGIW_SHARD_HEARTBEAT_TIMEOUT_MS, VGIW_SHARD_BACKOFF_MS,
- * VGIW_SHARD_BACKOFF_CAP_MS. */
+/** Coordinator knobs. */
 struct ShardOptions
 {
-    /** Worker process count (clamped to the job count; min 1). */
+    /** Worker process count (clamped to the pending job count; min 1). */
     unsigned shards = 2;
 
-    /** In-worker retry policy for soft failures (watchdog/internal),
-     * exactly as in single-process mode. */
-    RetryPolicy retry{};
-
     /**
-     * Total dispatches a job may consume across worker crashes before
-     * it is quarantined as a terminal `worker_crash`. 0 derives the
-     * budget from the retry policy: 1 + max(retry.maxAttempts - 1, 1),
-     * i.e. at least one re-dispatch even without --retries — a single
-     * environmental crash should not poison a job.
+     * The sweep options, with in-process meaning: journal (written by
+     * the coordinator only), onResult/onFailure (called in the
+     * coordinator), stop, and retry (soft failures retry inside the
+     * worker; its attemptBudget(WorkerCrash) bounds dispatches). The
+     * artifact store and the injector are used by every worker as
+     * they stand at its fork. A non-null `metrics` makes each worker
+     * collect into its own collector, so lines carry the same
+     * "metrics" object as in-process; the coordinator's collector
+     * sees only the callback spans. `jobs` is unused.
      */
-    unsigned crashAttempts = 0;
+    EngineOptions engine{};
 
     /** Per-job wall-clock deadline enforced by the *coordinator*
      * (SIGKILL on overrun); 0 disables. This is the backstop for jobs
@@ -146,39 +117,9 @@ struct ShardOptions
     uint64_t heartbeatTimeoutMs = 10000;
     /** Base respawn backoff after a crash; the envelope doubles per
      * consecutive crash of the same shard with uniform jitter in
-     * [d/2, d] (common/backoff.hh) so simultaneously-crashed workers
-     * do not respawn in lockstep. */
+     * [d/2, d] (common/backoff.hh, 10 s ceiling) so simultaneously
+     * crashed workers do not respawn in lockstep. */
     uint64_t respawnBackoffMs = 200;
-    /** Documented backoff ceiling: no delay ever exceeds this. */
-    uint64_t respawnBackoffCapMs = 10000;
-
-    /** Workers collect per-job metrics (the "metrics" JSON object),
-     * matching a single-process --metrics run byte-for-byte. */
-    bool collectMetrics = false;
-
-    /** Coordinator-owned journal (single writer); not owned. Restored
-     * entries satisfy jobs without dispatching them. */
-    ResultJournal *journal = nullptr;
-
-    /** Shared artifact store, opened before forking; not owned. */
-    ArtifactStore *artifactStore = nullptr;
-
-    /** Graceful-drain flag (usually &drainFlag()); not owned. When it
-     * trips, the coordinator forwards SIGTERM to every worker, stops
-     * dispatching, waits for in-flight jobs and marks the rest
-     * drained. */
-    const std::atomic<bool> *stop = nullptr;
-
-    /** Serialised progress callbacks, mirroring EngineOptions. */
-    std::function<void(size_t index, const ShardRow &)> onResult;
-    std::function<void(const ShardRow &)> onFailure;
-
-    /**
-     * Test hook, invoked *in the worker process* with the global job
-     * index just before the job runs. Tests raise hard signals or mute
-     * heartbeats here to exercise supervision without a CLI.
-     */
-    std::function<void(size_t index)> workerPreJob;
 };
 
 /** Forks, feeds and supervises a fleet of shard workers. */
@@ -195,23 +136,25 @@ class ShardSupervisor
     std::vector<ShardRow> run(const std::vector<ExperimentJob> &jobs);
 
     /** The last run()'s rows in columnar form, rendered byte-identical
-     * to a single-process sweep — the input for --json. */
-    ResultTable &resultTable() { return table_; }
+     * to an in-process sweep — the input for --json. */
+    ResultTable &resultTable() { return engine_.resultTable(); }
 
     const SupervisorStats &stats() const { return stats_; }
 
   private:
+    /** The forked worker's body; returns its exit code. */
+    int workerMain(int in_fd, int out_fd,
+                   const std::vector<ExperimentJob> &jobs) const;
+
+    /** The engine's executor: run @p pending on the worker fleet. */
+    void supervise(const std::vector<ExperimentJob> &jobs,
+                   const std::vector<size_t> &pending,
+                   const ExperimentEngine::Deliver &deliver);
+
     ShardOptions opts_;
-    ResultTable table_;
+    ExperimentEngine engine_;  ///< the coordinator's sweep bookkeeping
     SupervisorStats stats_;
 };
-
-/**
- * Test hook (worker-process side): suppress heartbeat frames so the
- * coordinator's heartbeat timeout path can be exercised without
- * wedging the worker for real.
- */
-void muteWorkerHeartbeatsForTest(bool mute);
 
 } // namespace vgiw
 

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <csignal>
 #include <string>
 #include <vector>
 
@@ -71,6 +73,61 @@ TEST(FaultInjector, RulesFireAtMostOnce)
     // Other (point, job) pairs never fire.
     EXPECT_NO_THROW(inj.fire(FaultInjector::Point::Compile, 0));
     EXPECT_NO_THROW(inj.fire(FaultInjector::Point::Trace, 1));
+    EXPECT_EQ(inj.fired(), 1u);
+}
+
+TEST(FaultSpec, GrammarArmsEachActionAndRejectsMalformedSpecs)
+{
+    using A = FaultSpec::Action;
+    const struct
+    {
+        const char *spec;
+        A action;
+        int signo;
+        size_t job;
+        int millis;
+    } good[] = {
+        {"segv:0", A::Raise, SIGSEGV, 0, 30000},
+        {"kill:7", A::Raise, SIGKILL, 7, 30000},
+        {"abort:12", A::Raise, SIGABRT, 12, 30000},
+        {"mute:1", A::Raise, SIGSTOP, 1, 30000},
+        {"stall:3", A::Stall, 0, 3, 30000},
+        {"stall:3:250", A::Stall, 0, 3, 250},
+        {"badframe:5", A::BadFrame, 0, 5, 30000},
+    };
+    for (const auto &g : good) {
+        SCOPED_TRACE(g.spec);
+        const auto f = FaultSpec::parse(g.spec);
+        ASSERT_TRUE(f.has_value());
+        EXPECT_EQ(f->action, g.action);
+        EXPECT_EQ(f->signo, g.signo);
+        EXPECT_EQ(f->job, g.job);
+        EXPECT_EQ(f->millis, g.millis);
+    }
+
+    // Each malformed form arms nothing and says so once on stderr.
+    for (const char *bad :
+         {"", "segv", "segv:", "segv:abc", "segv:3x", "segv:-1", "segv: 3",
+          "bogus:3", "SEGV:3", ":3", "segv:1:5", "stall:1:", "stall:1:x",
+          "stall:1:5:6", "stall:1:-5", "segv:99999999999999999999999"}) {
+        SCOPED_TRACE(bad);
+        ::testing::internal::CaptureStderr();
+        EXPECT_FALSE(FaultSpec::parse(bad).has_value());
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("malformed"), std::string::npos) << err;
+        EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+    }
+}
+
+TEST(FaultSpec, BadFrameArmsTheSendPointOnly)
+{
+    // The one spec action that can fire in-process without killing it.
+    FaultInjector inj;
+    inj.arm(*FaultSpec::parse("badframe:2"));
+    EXPECT_FALSE(inj.fire(FaultInjector::Point::Replay, 2));
+    EXPECT_FALSE(inj.fire(FaultInjector::Point::Send, 1));
+    EXPECT_TRUE(inj.fire(FaultInjector::Point::Send, 2));
+    EXPECT_FALSE(inj.fire(FaultInjector::Point::Send, 2));
     EXPECT_EQ(inj.fired(), 1u);
 }
 

@@ -27,7 +27,7 @@ std::string
 referenceJsonLine(const JobResult &r)
 {
     if (r.restored)
-        return r.restoredJson;
+        return r.verbatimJson;
     std::ostringstream os;
     os << "{\"workload\":\"" << jsonEscape(r.workload) << "\""
        << ",\"arch\":\"" << jsonEscape(r.arch) << "\""
@@ -156,7 +156,7 @@ TEST(ResultTable, MatchesReferenceFormatterForEveryShape)
         r.workload = "BFS/Kernel";
         r.arch = "vgiw";
         r.restored = true;
-        r.restoredJson = "{\"workload\":\"BFS/Kernel\",\"frozen\":true}";
+        r.verbatimJson = "{\"workload\":\"BFS/Kernel\",\"frozen\":true}";
         r.goldenPassed = true;
         r.ran = true;
         cases.push_back(r);

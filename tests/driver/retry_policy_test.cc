@@ -59,6 +59,23 @@ TEST(RetryPolicy, ShouldRetryRespectsBudgetAndKind)
     EXPECT_FALSE(off.shouldRetry(SimErrorKind::Watchdog, 1));
 }
 
+TEST(RetryPolicy, WorkerCrashAlwaysGetsOneRedispatch)
+{
+    // The shard supervisor's dispatch budget: maxAttempts, floored at
+    // two, so the default policy re-dispatches a crashed job once.
+    RetryPolicy off;
+    EXPECT_EQ(off.attemptBudget(SimErrorKind::WorkerCrash), 2u);
+    EXPECT_TRUE(off.shouldRetry(SimErrorKind::WorkerCrash, 1));
+    EXPECT_FALSE(off.shouldRetry(SimErrorKind::WorkerCrash, 2));
+    EXPECT_EQ(off.attemptBudget(SimErrorKind::Watchdog), 1u);
+
+    RetryPolicy rp;
+    rp.maxAttempts = 4;
+    EXPECT_EQ(rp.attemptBudget(SimErrorKind::WorkerCrash), 4u);
+    EXPECT_TRUE(rp.shouldRetry(SimErrorKind::WorkerCrash, 3));
+    EXPECT_FALSE(rp.shouldRetry(SimErrorKind::WorkerCrash, 4));
+}
+
 TEST(RetryPolicy, EscalateScalesFiniteCeilingsPerRetry)
 {
     RetryPolicy rp;  // cycle x4, deadline x2 per retry

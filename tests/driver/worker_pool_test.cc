@@ -5,22 +5,23 @@
  * SIGABRT) in a worker costs one job — quarantined as `worker_crash`
  * after its crash budget — not the sweep, silent workers are killed by
  * the heartbeat timeout, runaway jobs by the coordinator deadline,
- * drains leave every row terminal, journaled runs restore verbatim,
- * and the supervision counter names are a pinned surface. Fork-based:
- * these suites are deliberately outside the sanitizer allowlist
- * filters.
+ * drains leave every row terminal, journaled runs restore verbatim in
+ * either mode, and the supervision counter names are a pinned surface.
+ * Faults are armed on a FaultInjector in the options, which every
+ * forked worker inherits. Fork-based: these suites are deliberately
+ * outside the sanitizer allowlist filters.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "driver/experiment_engine.hh"
+#include "driver/fault_injector.hh"
 #include "driver/result_journal.hh"
 #include "driver/worker_pool.hh"
 #include "workloads/workload.hh"
@@ -68,7 +69,9 @@ TEST(ShardSupervisor, ShardedSweepIsByteIdenticalToSingleProcess)
     ShardOptions sopts;
     sopts.shards = 2;
     std::vector<int> seen(jobs.size(), 0);
-    sopts.onResult = [&seen](size_t i, const ShardRow &) { ++seen[i]; };
+    sopts.engine.onResult = [&seen](size_t i, const JobResult &) {
+        ++seen[i];
+    };
     ShardSupervisor sup(sopts);
     auto rows = sup.run(jobs);
 
@@ -102,13 +105,12 @@ TEST(ShardSupervisor, HardFaultIsContainedAndQuarantined)
         for (int sig : {SIGSEGV, SIGKILL, SIGABRT}) {
             SCOPED_TRACE("shards " + std::to_string(shards) + ", signal " +
                          std::to_string(sig));
+            FaultInjector inj;
+            inj.armRaise(FaultInjector::Point::Replay, kPoisoned, sig);
             ShardOptions sopts;
             sopts.shards = shards;
             sopts.respawnBackoffMs = 10;
-            sopts.workerPreJob = [sig](size_t index) {
-                if (index == kPoisoned)
-                    std::raise(sig);
-            };
+            sopts.engine.injector = &inj;
             ShardSupervisor sup(sopts);
             auto rows = sup.run(jobs);
 
@@ -147,19 +149,16 @@ TEST(ShardSupervisor, SilentWorkerIsKilledByHeartbeatTimeout)
 {
     const auto jobs = smallJobs();
 
+    // Alive but mute (SIGSTOP stops the beater thread too): only the
+    // coordinator's heartbeat timeout can catch this failure mode.
+    FaultInjector inj;
+    inj.armRaise(FaultInjector::Point::Replay, 0, SIGSTOP);
     ShardOptions sopts;
     sopts.shards = 2;
     sopts.heartbeatIntervalMs = 25;
     sopts.heartbeatTimeoutMs = 200;
     sopts.respawnBackoffMs = 10;
-    sopts.workerPreJob = [](size_t index) {
-        if (index != 0)
-            return;
-        // Alive and busy but mute: only the coordinator's heartbeat
-        // timeout can catch this failure mode.
-        muteWorkerHeartbeatsForTest(true);
-        std::this_thread::sleep_for(std::chrono::seconds(30));
-    };
+    sopts.engine.injector = &inj;
     ShardSupervisor sup(sopts);
     auto rows = sup.run(jobs);
 
@@ -177,17 +176,16 @@ TEST(ShardSupervisor, JobDeadlineKillsRunawayJob)
 {
     const auto jobs = smallJobs();
 
+    // Heartbeats keep flowing (the beater thread is alive), so the
+    // per-job deadline — not the heartbeat timeout — must fire.
+    FaultInjector inj;
+    inj.armStall(FaultInjector::Point::Replay, 0, 30000);
     ShardOptions sopts;
     sopts.shards = 2;
     sopts.jobDeadlineMs = 200;
     sopts.heartbeatIntervalMs = 25;
     sopts.respawnBackoffMs = 10;
-    sopts.workerPreJob = [](size_t index) {
-        // Heartbeats keep flowing (the beater thread is alive), so the
-        // per-job deadline — not the heartbeat timeout — must fire.
-        if (index == 0)
-            std::this_thread::sleep_for(std::chrono::seconds(30));
-    };
+    sopts.engine.injector = &inj;
     ShardSupervisor sup(sopts);
     auto rows = sup.run(jobs);
 
@@ -215,15 +213,16 @@ TEST(ShardSupervisor, DrainLeavesEveryRowTerminalAndNoOrphans)
         }
     }
 
+    FaultInjector inj;
+    for (size_t i = 0; i < jobs.size(); ++i)
+        inj.armStall(FaultInjector::Point::Replay, i, 100);
     std::atomic<bool> stop{false};
     ShardOptions sopts;
     sopts.shards = 2;
-    sopts.stop = &stop;
-    sopts.workerPreJob = [](size_t) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    };
+    sopts.engine.stop = &stop;
+    sopts.engine.injector = &inj;
     std::atomic<size_t> resolved{0};
-    sopts.onResult = [&](size_t, const ShardRow &) {
+    sopts.engine.onResult = [&](size_t, const JobResult &) {
         ++resolved;
         stop.store(true, std::memory_order_release);
     };
@@ -259,7 +258,7 @@ TEST(ShardSupervisor, JournaledShardSweepRestoresOnResume)
         ASSERT_TRUE(journal.create(path, hash, &err)) << err;
         ShardOptions sopts;
         sopts.shards = 2;
-        sopts.journal = &journal;
+        sopts.engine.journal = &journal;
         ShardSupervisor sup(sopts);
         for (const auto &r : sup.run(jobs)) {
             ASSERT_TRUE(r.ok) << r.error;
@@ -274,7 +273,7 @@ TEST(ShardSupervisor, JournaledShardSweepRestoresOnResume)
 
     ShardOptions sopts;
     sopts.shards = 2;
-    sopts.journal = &journal;
+    sopts.engine.journal = &journal;
     ShardSupervisor sup(sopts);
     auto rows = sup.run(jobs);
     for (size_t i = 0; i < rows.size(); ++i) {
@@ -294,33 +293,31 @@ TEST(ShardSupervisor, CounterNamesAreAStableSurface)
     SupervisorStats st;
     st.restarts = 1;
     st.crashes = 2;
-    st.steals = 3;
     st.heartbeatMisses = 4;
     st.corruptFrames = 5;
     EXPECT_EQ(st.countersJson(),
               "{\"supervisor.corrupt_frames\":5,"
               "\"supervisor.crashes\":2,"
               "\"supervisor.heartbeat_misses\":4,"
-              "\"supervisor.restarts\":1,"
-              "\"supervisor.steals\":3}");
+              "\"supervisor.restarts\":1}");
 }
 
 TEST(ShardSupervisor, CorruptFrameMidStreamSkipsOneRecordOnly)
 {
-    // A worker injects exactly one checksum-corrupt frame before job 1
-    // (VGIW_TEST_FAULT=badframe grammar, armed here via the preJob
-    // hook's process-global env). The coordinator must skip that one
-    // record, count it, and parse every subsequent frame — all jobs
-    // succeed, nothing is re-dispatched, no worker is killed.
+    // A worker injects exactly one checksum-corrupt frame ahead of
+    // job 1's result. The coordinator must skip that one record, count
+    // it, and parse every subsequent frame — all jobs succeed, nothing
+    // is re-dispatched, no worker is killed.
     const auto jobs = smallJobs();
     const auto ref = referenceLines(jobs);
 
-    ::setenv("VGIW_TEST_FAULT", "badframe:1", 1);
+    FaultInjector inj;
+    inj.armCorruptFrame(1);
     ShardOptions sopts;
     sopts.shards = 2;
+    sopts.engine.injector = &inj;
     ShardSupervisor sup(sopts);
     auto rows = sup.run(jobs);
-    ::unsetenv("VGIW_TEST_FAULT");
 
     ASSERT_EQ(rows.size(), jobs.size());
     for (size_t i = 0; i < rows.size(); ++i) {
@@ -329,6 +326,114 @@ TEST(ShardSupervisor, CorruptFrameMidStreamSkipsOneRecordOnly)
     }
     EXPECT_EQ(sup.stats().corruptFrames, 1u);
     EXPECT_EQ(sup.stats().crashes, 0u);
+    EXPECT_EQ(sup.stats().restarts, 0u);
+}
+
+/** A fresh journal path under the test temp dir. */
+std::string
+freshJournal(const std::string &name)
+{
+    const std::string path = ::testing::TempDir() + name;
+    std::remove(path.c_str());
+    std::remove((path + ".1").c_str());
+    return path;
+}
+
+TEST(JournalParity, ShardedCrashRowResumesInProcess)
+{
+    // A journaled 2-shard sweep in which job 1 dies of SIGSEGV on both
+    // dispatches, resumed by the in-process engine: every line comes
+    // back byte-identical, the crash row stays a terminal worker_crash
+    // row, and nothing is traced again.
+    const auto jobs = smallJobs();
+    const std::string hash = ExperimentEngine::sweepHash(jobs);
+    const std::string path = freshJournal("vgiw_parity_sharded.jsonl");
+    constexpr size_t kPoisoned = 1;
+
+    std::vector<std::string> lines;
+    {
+        ResultJournal journal;
+        std::string err;
+        ASSERT_TRUE(journal.create(path, hash, &err)) << err;
+        FaultInjector inj;
+        inj.armRaise(FaultInjector::Point::Replay, kPoisoned, SIGSEGV);
+        ShardOptions sopts;
+        sopts.shards = 2;
+        sopts.respawnBackoffMs = 10;
+        sopts.engine.journal = &journal;
+        sopts.engine.injector = &inj;
+        ShardSupervisor sup(sopts);
+        for (const auto &r : sup.run(jobs))
+            lines.push_back(r.jsonLine);
+    }
+    ASSERT_NE(lines[kPoisoned].find("\"error_kind\":\"worker_crash\""),
+              std::string::npos)
+        << lines[kPoisoned];
+
+    ResultJournal journal;
+    std::string err;
+    ASSERT_TRUE(journal.openForResume(path, hash, &err)) << err;
+    EngineOptions eopts{1};
+    eopts.journal = &journal;
+    ExperimentEngine engine(eopts);
+    const auto results = engine.run(jobs);
+    for (size_t i = 0; i < results.size(); ++i) {
+        EXPECT_TRUE(results[i].restored) << i;
+        EXPECT_EQ(std::string(engine.resultTable().renderRow(i)), lines[i])
+            << i;
+    }
+    EXPECT_FALSE(results[kPoisoned].ok());
+    EXPECT_TRUE(results[kPoisoned].quarantined);
+    EXPECT_NE(lines[kPoisoned].find("\"quarantined\":true"),
+              std::string::npos);
+    EXPECT_EQ(engine.traceCache().functionalExecutions(), 0u);
+}
+
+TEST(JournalParity, InProcessSweepResumesSharded)
+{
+    // The reverse: an in-process journaled sweep with one failed job
+    // (an injected functional corruption), resumed sharded. Every line
+    // is restored verbatim and no worker is forked.
+    const auto jobs = smallJobs();
+    const std::string hash = ExperimentEngine::sweepHash(jobs);
+    const std::string path = freshJournal("vgiw_parity_inproc.jsonl");
+
+    std::vector<std::string> lines;
+    {
+        ResultJournal journal;
+        std::string err;
+        ASSERT_TRUE(journal.create(path, hash, &err)) << err;
+        FaultInjector inj;
+        inj.armCorrupt(FaultInjector::Point::Trace, 2);
+        EngineOptions eopts{2};
+        eopts.journal = &journal;
+        eopts.injector = &inj;
+        ExperimentEngine engine(eopts);
+        const auto results = engine.run(jobs);
+        ASSERT_FALSE(results[2].ok());
+        for (size_t i = 0; i < results.size(); ++i)
+            lines.emplace_back(engine.resultTable().renderRow(i));
+    }
+
+    ResultJournal journal;
+    std::string err;
+    ASSERT_TRUE(journal.openForResume(path, hash, &err)) << err;
+    ShardOptions sopts;
+    sopts.shards = 2;
+    sopts.engine.journal = &journal;
+    ShardSupervisor sup(sopts);
+    ::testing::internal::CaptureStderr();
+    const auto rows = sup.run(jobs);
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    for (size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_TRUE(rows[i].restored) << i;
+        EXPECT_EQ(rows[i].jsonLine, lines[i]) << i;
+        EXPECT_EQ(std::string(sup.resultTable().renderRow(i)), lines[i])
+            << i;
+    }
+    EXPECT_FALSE(rows[2].ok);
+    EXPECT_EQ(log.find("shard worker"), std::string::npos) << log;
+    EXPECT_EQ(sup.stats().functionalExecutions, 0u);
     EXPECT_EQ(sup.stats().restarts, 0u);
 }
 

@@ -30,8 +30,9 @@ if (NOT rc EQUAL 0)
     message(FATAL_ERROR "reference run failed (rc=${rc}):\n${err}")
 endif ()
 
-# The fault fires on both dispatches of job 5 (re-armed on the retry),
-# so the job exhausts its crash budget and quarantines.
+# The fault fires on both dispatches of job 5 (every worker inherits
+# the armed injector at its fork), so the job exhausts its crash
+# budget and quarantines.
 execute_process(COMMAND ${CMAKE_COMMAND} -E env
                         VGIW_TEST_FAULT=segv:5
                         "VGIW_SHARD_PIDFILE_DIR=${pids}"

@@ -78,6 +78,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,7 @@
 #include "common/watchdog.hh"
 #include "driver/artifact_store.hh"
 #include "driver/experiment_engine.hh"
+#include "driver/fault_injector.hh"
 #include "driver/result_journal.hh"
 #include "driver/result_table.hh"
 #include "driver/worker_pool.hh"
@@ -556,119 +558,56 @@ main(int argc, char **argv)
             }
         }
 
-        // SIGINT/SIGTERM drain the pool instead of killing the
+        // SIGINT/SIGTERM drain the sweep instead of killing the
         // process: in-flight jobs finish, the journal stays intact.
         installDrainHandlers();
         opts.stop = &drainFlag();
 
-        if (shards_set) {
-            // Process-isolated mode: jobs run in forked, supervised
-            // worker processes; a hard fault (SIGSEGV, abort, OOM
-            // kill, stall) costs one job dispatch, not the sweep.
-            ShardOptions sopts;
-            sopts.shards = shards;
-            sopts.retry.maxAttempts = 1 + retries;
-            sopts.jobDeadlineMs = shard_deadline_ms;
-            sopts.collectMetrics = metrics_on;
-            sopts.journal = journal_path.empty() ? nullptr : &journal;
-            sopts.artifactStore = artifact_dir.empty() ? nullptr : &store;
-            sopts.stop = &drainFlag();
-            sopts.onFailure = [&failures](const ShardRow &r) {
-                ++failures;
-                std::fprintf(stderr, "FAILED %s [%s]: %s\n",
-                             r.workload.c_str(), r.arch.c_str(),
-                             r.error.c_str());
-            };
-            ShardSupervisor sup(sopts);
-            auto rows = sup.run(suite_jobs);
-            const SupervisorStats &st = sup.stats();
-
-            size_t restored = 0, drained = 0, quarantined = 0;
-            std::printf("%-28s %-6s %12s %11s %9s %9s\n", "workload",
-                        "arch", "cycles", "energy nJ", "L1 miss", "golden");
-            for (const auto &r : rows) {
-                if (r.drained) {
-                    ++drained;
-                    std::printf("%-28s %-6s %44s\n", r.workload.c_str(),
-                                r.arch.c_str(), "not run (drained)");
-                    continue;
-                }
-                restored += r.restored;
-                quarantined += r.quarantined;
-                if (r.restored && r.ok) {
-                    std::printf("%-28s %-6s %44s\n", r.workload.c_str(),
-                                r.arch.c_str(), "ok (restored)");
-                    continue;
-                }
-                if (!r.ok) {
-                    std::printf("%-28s %-6s %44s\n", r.workload.c_str(),
-                                r.arch.c_str(),
-                                r.quarantined ? "QUARANTINED" : "SKIPPED");
-                    continue;
-                }
-                if (!r.supported) {
-                    std::printf("%-28s %-6s %44s\n", r.workload.c_str(),
-                                r.arch.c_str(), "unsupported");
-                    continue;
-                }
-                std::printf("%-28s %-6s %12llu %11.1f %8.1f%% %9s\n",
-                            r.workload.c_str(), r.arch.c_str(),
-                            (unsigned long long)r.cycles,
-                            r.energySystemPj / 1e3, 100.0 * r.l1MissRate,
-                            r.golden ? "ok" : "FAIL");
+        // Crash-containment tests arm a fault by spec: they drive this
+        // binary and cannot pass an injector object.
+        FaultInjector injector;
+        if (const char *spec = std::getenv("VGIW_TEST_FAULT")) {
+            if (auto fault = FaultSpec::parse(spec)) {
+                injector.arm(*fault);
+                opts.injector = &injector;
             }
-            // Trace/compile work happened in the workers; their final
-            // Stats frames are the only census of it.
-            std::printf("\n%zu results, %d failures (traced %llu "
-                        "workloads once each, %llu compilations)\n",
-                        rows.size(), failures,
-                        (unsigned long long)st.functionalExecutions,
-                        (unsigned long long)st.compilations);
-            if (!artifact_dir.empty()) {
-                std::printf("artifact store: %llu hits, %llu misses, "
-                            "%llu bytes mapped\n",
-                            (unsigned long long)st.storeHits,
-                            (unsigned long long)st.storeMisses,
-                            (unsigned long long)st.storeBytesMapped);
-            }
-            if (restored)
-                std::printf("%zu restored from the journal\n", restored);
-            if (quarantined)
-                std::printf("%zu quarantined after exhausting retries\n",
-                            quarantined);
-            if (drained)
-                std::printf("%zu not run: interrupted%s\n", drained,
-                            journal_path.empty()
-                                ? ""
-                                : "; resume with --journal --resume");
-            std::printf("supervisor: %llu restarts, %llu crashes, "
-                        "%llu steals, %llu heartbeat misses\n",
-                        (unsigned long long)st.restarts,
-                        (unsigned long long)st.crashes,
-                        (unsigned long long)st.steals,
-                        (unsigned long long)st.heartbeatMisses);
-            if (metrics_on)
-                std::printf("supervisor metrics: %s\n",
-                            st.countersJson().c_str());
-
-            bool io_failed = false;
-            if (!json_path.empty() &&
-                !writeJson(json_path, sup.resultTable()))
-                io_failed = true;
-            journal.close();
-            if (std::string jerr = journal.writeError(); !jerr.empty()) {
-                std::fprintf(stderr, "journal: %s\n", jerr.c_str());
-                io_failed = true;
-            }
-            if (io_failed)
-                return 1;
-            if (drainRequested())
-                return 4;
-            return failures ? 3 : 0;
         }
 
+        // In-process, or (--shards) in forked, supervised worker
+        // processes, where a hard fault (SIGSEGV, abort, OOM kill,
+        // stall) costs one job dispatch, not the sweep. Everything
+        // after the run is shared by both modes.
         ExperimentEngine engine(opts);
-        auto results = engine.run(suite_jobs);
+        std::optional<ShardSupervisor> sup;
+        std::vector<JobResult> results;
+        uint64_t executions = 0, compilations = 0;
+        uint64_t store_hits = 0, store_misses = 0, store_mapped = 0;
+        if (shards_set) {
+            ShardOptions sopts;
+            sopts.shards = shards;
+            sopts.jobDeadlineMs = shard_deadline_ms;
+            sopts.engine = opts;
+            sup.emplace(sopts);
+            for (ShardRow &row : sup->run(suite_jobs))
+                results.push_back(std::move(row));
+            // Trace/compile work happened in the workers; their final
+            // Stats frames are the only census of it.
+            const SupervisorStats &st = sup->stats();
+            executions = st.functionalExecutions;
+            compilations = st.compilations;
+            store_hits = st.storeHits;
+            store_misses = st.storeMisses;
+            store_mapped = st.storeBytesMapped;
+        } else {
+            results = engine.run(suite_jobs);
+            executions = engine.traceCache().functionalExecutions();
+            compilations = engine.compileCache().compilations();
+            store_hits = store.hits();
+            store_misses = store.misses();
+            store_mapped = store.bytesMapped();
+        }
+        ResultTable &table =
+            sup ? sup->resultTable() : engine.resultTable();
 
         size_t restored = 0, drained = 0, quarantined = 0;
         std::printf("%-28s %-6s %12s %11s %9s %9s\n", "workload", "arch",
@@ -710,16 +649,14 @@ main(int argc, char **argv)
         std::printf("\n%zu results, %d failures (traced %llu workloads "
                     "once each, %llu compilations)\n",
                     results.size(), failures,
-                    (unsigned long long)
-                        engine.traceCache().functionalExecutions(),
-                    (unsigned long long)
-                        engine.compileCache().compilations());
+                    (unsigned long long)executions,
+                    (unsigned long long)compilations);
         if (!artifact_dir.empty()) {
             std::printf("artifact store: %llu hits, %llu misses, "
                         "%llu bytes mapped\n",
-                        (unsigned long long)store.hits(),
-                        (unsigned long long)store.misses(),
-                        (unsigned long long)store.bytesMapped());
+                        (unsigned long long)store_hits,
+                        (unsigned long long)store_misses,
+                        (unsigned long long)store_mapped);
         }
         if (restored)
             std::printf("%zu restored from the journal\n", restored);
@@ -731,6 +668,17 @@ main(int argc, char **argv)
                         journal_path.empty()
                             ? ""
                             : "; resume with --journal --resume");
+        if (sup) {
+            const SupervisorStats &st = sup->stats();
+            std::printf("supervisor: %llu restarts, %llu crashes, "
+                        "%llu heartbeat misses\n",
+                        (unsigned long long)st.restarts,
+                        (unsigned long long)st.crashes,
+                        (unsigned long long)st.heartbeatMisses);
+            if (metrics_on)
+                std::printf("supervisor metrics: %s\n",
+                            st.countersJson().c_str());
+        }
 
         if (collect && !metrics_on) {
             // Spans were wanted, counters were not: strip them so the
@@ -741,13 +689,12 @@ main(int argc, char **argv)
             // verbatim, exactly as before.
             for (size_t i = 0; i < results.size(); ++i) {
                 results[i].metricsJson.clear();
-                engine.resultTable().fill(i, results[i]);
+                table.fill(i, results[i]);
             }
         }
 
         bool io_failed = false;
-        if (!json_path.empty() &&
-            !writeJson(json_path, engine.resultTable()))
+        if (!json_path.empty() && !writeJson(json_path, table))
             io_failed = true;
         if (!trace_path.empty() && !writeTrace(trace_path, collector))
             io_failed = true;
