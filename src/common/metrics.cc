@@ -1,5 +1,6 @@
 #include "common/metrics.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -102,14 +103,28 @@ std::string
 MetricsCollector::chromeTraceJson() const
 {
     // Rebase timestamps to the earliest span and renumber thread tags
-    // by first appearance in submission order, so the only run-to-run
-    // variance in the document is the timing itself.
-    uint64_t base = ~uint64_t{0};
-    for (const auto &jm : jobs_)
-        for (const auto &s : jm.spans())
-            if (s.endNs >= s.beginNs && s.endNs != 0)
-                base = std::min(base, s.beginNs);
+    // in dispatch order — by the start of each thread's first span —
+    // so tid 0 is the worker that began first.
+    std::unordered_map<uint64_t, uint64_t> firstBegin;
+    for (const auto &jm : jobs_) {
+        for (const auto &s : jm.spans()) {
+            if (s.endNs < s.beginNs || s.endNs == 0)
+                continue;
+            const auto [it, inserted] =
+                firstBegin.emplace(s.threadTag, s.beginNs);
+            if (!inserted)
+                it->second = std::min(it->second, s.beginNs);
+        }
+    }
+    std::vector<std::pair<uint64_t, uint64_t>> starts;  // (begin, tag)
+    starts.reserve(firstBegin.size());
+    for (const auto &[tag, begin] : firstBegin)
+        starts.emplace_back(begin, tag);
+    std::sort(starts.begin(), starts.end());
+    const uint64_t base = starts.empty() ? 0 : starts.front().first;
     std::unordered_map<uint64_t, unsigned> tids;
+    for (const auto &[begin, tag] : starts)
+        tids.emplace(tag, unsigned(tids.size()));
 
     std::string out = "{\"traceEvents\":[";
     bool first = true;
@@ -118,8 +133,6 @@ MetricsCollector::chromeTraceJson() const
         for (const auto &s : jobs_[i].spans()) {
             if (s.endNs < s.beginNs || s.endNs == 0)
                 continue;  // never closed: a crashed or torn span
-            const auto [it, inserted] =
-                tids.emplace(s.threadTag, unsigned(tids.size()));
             if (!first)
                 out += ",";
             first = false;
@@ -130,7 +143,7 @@ MetricsCollector::chromeTraceJson() const
                           double(s.endNs - s.beginNs) / 1e3);
             out += buf;
             std::snprintf(buf, sizeof buf, ",\"pid\":0,\"tid\":%u",
-                          it->second);
+                          tids.at(s.threadTag));
             out += buf;
             out += ",\"args\":{\"job\":\"" + jsonEscape(labels_[i]) +
                    "\",\"depth\":" + std::to_string(s.depth) + "}}";

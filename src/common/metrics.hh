@@ -189,8 +189,9 @@ class MetricSinkScope
  *
  * Ownership/threading contract: reset() is called once before the
  * worker pool starts; after that, slot i is written only by the
- * worker running job i, and readers (exporters, tests) run after
- * ExperimentEngine::run returns. The collector itself takes no locks.
+ * worker running job i (and, before the job is dispatched, by the
+ * trace pre-pass worker that fetches its traces), and readers
+ * (exporters, tests) run after ExperimentEngine::run returns. The collector itself takes no locks.
  */
 class MetricsCollector
 {
@@ -214,9 +215,8 @@ class MetricsCollector
      * Export every closed span as a Chrome trace-event JSON document
      * (`chrome://tracing` / Perfetto "traceEvents" array of complete
      * "X" events; `ts`/`dur` in microseconds rebased to the earliest
-     * span). Worker threads are renumbered 0..N-1 by first appearance
-     * in submission order, so the `tid` assignment — though not the
-     * timestamps — is stable run to run.
+     * span). Worker threads are renumbered 0..N-1 in dispatch order:
+     * by the start of each thread's first span.
      */
     std::string chromeTraceJson() const;
 

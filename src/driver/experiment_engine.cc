@@ -1,6 +1,8 @@
 #include "driver/experiment_engine.hh"
 
+#include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstdio>
 #include <mutex>
@@ -14,16 +16,48 @@ namespace vgiw
 namespace
 {
 
+/** The job's workload constructor: its own make(), else the
+ * registry entry of its name; empty when neither exists. */
 std::function<WorkloadInstance()>
-registryMake(const std::string &name)
+makeOf(const ExperimentJob &job)
 {
+    if (job.make)
+        return job.make;
     for (const auto &e : workloadRegistry())
-        if (e.name == name)
+        if (e.name == job.workload)
             return e.make;
     return {};
 }
 
+/**
+ * The checks a job passes before it may touch simulation state: a
+ * valid config, a known architecture and a resolvable workload.
+ * Returns the config-kind diagnostic of the first failed check, or
+ * empty when the job may trace.
+ */
+std::string
+admissionError(const ExperimentJob &job)
+{
+    if (std::string msg = job.config.validate(job.arch); !msg.empty())
+        return msg;
+    if (!isKnownArchitecture(job.arch))
+        return "unknown architecture '" + job.arch + "'";
+    if (!makeOf(job))
+        return "unknown workload '" + job.workload + "'";
+    return {};
+}
+
 } // namespace
+
+std::vector<size_t>
+longestFirst(const std::vector<size_t> &pending,
+             const std::vector<uint64_t> &cost)
+{
+    std::vector<size_t> order = pending;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](size_t a, size_t b) { return cost[a] > cost[b]; });
+    return order;
+}
 
 std::vector<JobResult>
 ExperimentEngine::run(const std::vector<ExperimentJob> &jobs)
@@ -36,30 +70,109 @@ ExperimentEngine::run(const std::vector<ExperimentJob> &jobs)
             workers = 1;
         if (size_t(workers) > pending.size())
             workers = unsigned(pending.size());
-
-        std::atomic<size_t> next{0};
-        auto work = [&]() {
-            for (size_t n; (n = next.fetch_add(1)) < pending.size();) {
-                // Graceful drain: stop dequeueing; jobs already past
-                // this check run to completion (or to their watchdogs).
-                if (opts_.stop &&
-                    opts_.stop->load(std::memory_order_acquire)) {
-                    break;
-                }
-                const size_t i = pending[n];
-                deliver(i, execute(jobs[i], i));
-            }
-        };
-        if (workers == 1) {
-            work();  // keep single-threaded sweeps trivially debuggable
-        } else {
-            std::vector<std::jthread> pool;
-            pool.reserve(workers);
-            for (unsigned t = 0; t < workers; ++t)
-                pool.emplace_back(work);
-            // jthreads join on scope exit.
+        if (workers > 1) {
+            runPool(jobs, pending, workers, deliver);
+            return;
+        }
+        // One worker keeps submission order and no pre-pass, so
+        // single-threaded sweeps stay trivially debuggable.
+        for (size_t i : pending) {
+            // Graceful drain: stop dequeueing; a job already past
+            // this check runs to completion (or to its watchdog).
+            if (stopRequested())
+                break;
+            deliver(i, execute(jobs[i], i));
         }
     });
+}
+
+void
+ExperimentEngine::runPool(const std::vector<ExperimentJob> &jobs,
+                          const std::vector<size_t> &pending,
+                          unsigned workers, const Deliver &deliver)
+{
+    using Clock = std::chrono::steady_clock;
+
+    // Plan the pre-pass. Jobs sharing a workload name share its traces
+    // (the nameIsUnique promise), and the one that fetches them is the
+    // group's first admitted job in submission order — which is also
+    // the group's first to be dispatched, because the stable
+    // longest-first sort keeps equal-cost jobs in submission order.
+    // Jobs that fail admission never trace, as in runJob.
+    constexpr size_t kNone = ~size_t{0};
+    std::vector<size_t> byName = pending;
+    std::stable_sort(byName.begin(), byName.end(), [&](size_t a, size_t b) {
+        return jobs[a].workload < jobs[b].workload;
+    });
+    std::vector<size_t> payer(jobs.size(), kNone);
+    std::vector<size_t> fetches;
+    fetches.reserve(pending.size());
+    for (size_t g = 0; g < byName.size();) {
+        size_t end = g + 1;
+        while (end < byName.size() &&
+               jobs[byName[end]].workload == jobs[byName[g]].workload)
+            ++end;
+        size_t first = kNone;
+        for (size_t k = g; k < end && first == kNone; ++k)
+            if (admissionError(jobs[byName[k]]).empty())
+                first = byName[k];
+        if (first != kNone)
+            fetches.push_back(first);
+        for (size_t k = g; k < end; ++k)
+            payer[byName[k]] = first;
+        g = end;
+    }
+    std::sort(fetches.begin(), fetches.end());
+
+    std::vector<uint64_t> cost(jobs.size(), 0);
+    std::vector<Clock::duration> prepaid(jobs.size());
+    auto fetch = [&](size_t i) {
+        JobMetrics *jm = opts_.metrics ? &opts_.metrics->job(i) : nullptr;
+        const Clock::time_point t0 = Clock::now();
+        try {
+            PanicCaptureScope capture;
+            MetricSpan span(jm, "trace");
+            const TraceResult traced = cache_.get(
+                jobs[i].workload, makeOf(jobs[i]), /*nameIsUnique=*/true);
+            if (traced.ok())
+                cost[i] = traced.traces->totalBlockExecs() +
+                          traced.traces->totalAccesses();
+        } catch (...) {
+            // The job's own get reproduces the failure: a throwing
+            // make() is not cached, anything later is cached as a
+            // failed TraceResult.
+        }
+        prepaid[i] = Clock::now() - t0;
+    };
+
+    std::vector<size_t> order;
+    std::barrier phase(std::ptrdiff_t(workers), [&]() noexcept {
+        for (size_t i : pending)
+            cost[i] = payer[i] == kNone ? 0 : cost[payer[i]];
+        order = longestFirst(pending, cost);
+    });
+    std::atomic<size_t> nextFetch{0};
+    std::atomic<size_t> next{0};
+    auto work = [&]() {
+        for (size_t n; (n = nextFetch.fetch_add(1)) < fetches.size();) {
+            if (stopRequested())
+                break;
+            fetch(fetches[n]);
+        }
+        phase.arrive_and_wait();
+        for (size_t n; (n = next.fetch_add(1)) < order.size();) {
+            // Graceful drain, as in the one-worker loop.
+            if (stopRequested())
+                break;
+            const size_t i = order[n];
+            deliver(i, execute(jobs[i], i, prepaid[i]));
+        }
+    };
+    std::vector<std::jthread> pool;
+    pool.reserve(workers);
+    for (unsigned t = 0; t < workers; ++t)
+        pool.emplace_back(work);
+    // jthreads join on scope exit.
 }
 
 void
@@ -177,9 +290,10 @@ ExperimentEngine::runWith(const std::vector<ExperimentJob> &jobs,
 }
 
 JobResult
-ExperimentEngine::execute(const ExperimentJob &job, size_t index)
+ExperimentEngine::execute(const ExperimentJob &job, size_t index,
+                          std::chrono::steady_clock::duration prepaid)
 {
-    JobResult r = runJobWithRetry(job, index);
+    JobResult r = runJobWithRetry(job, index, prepaid);
     if (opts_.metrics) {
         // Serialise before the callbacks and the journal so the
         // metrics land in the journaled line (resume re-emits it
@@ -190,7 +304,8 @@ ExperimentEngine::execute(const ExperimentJob &job, size_t index)
 }
 
 JobResult
-ExperimentEngine::runJobWithRetry(const ExperimentJob &job, size_t index)
+ExperimentEngine::runJobWithRetry(const ExperimentJob &job, size_t index,
+                                  std::chrono::steady_clock::duration prepaid)
 {
     const RetryPolicy &rp = opts_.retry;
     JobMetrics *jm = opts_.metrics ? &opts_.metrics->job(index) : nullptr;
@@ -205,7 +320,7 @@ ExperimentEngine::runJobWithRetry(const ExperimentJob &job, size_t index)
             // Escalate the watchdog budgets of every core in lockstep
             // (the job's arch picks the one that matters); runJob
             // re-anchors the deadline at re-entry, so a retry gets a
-            // fresh wall-clock budget.
+            // fresh wall-clock budget, with no pre-pass time charged.
             j.config.vgiw.watchdog =
                 rp.escalate(job.config.vgiw.watchdog, attempt);
             j.config.fermi.watchdog =
@@ -218,15 +333,16 @@ ExperimentEngine::runJobWithRetry(const ExperimentJob &job, size_t index)
         JobResult out;
         {
             MetricSpan attempt_span(jm, "attempt");
-            out = runJob(j, index);
+            out = runJob(j, index,
+                         attempt == 1 ? prepaid
+                                      : std::chrono::steady_clock::duration{});
         }
         out.attempts = attempt;
         if (jm)
             jm->set("engine.attempts", double(attempt));
         if (out.ok())
             return out;
-        const bool draining =
-            opts_.stop && opts_.stop->load(std::memory_order_acquire);
+        const bool draining = stopRequested();
         if (!draining && rp.shouldRetry(out.errorKind, attempt))
             continue;
         // Terminal failure. Quarantined = the kind was retryable and
@@ -316,7 +432,8 @@ ExperimentEngine::report(size_t index, JobResult &result)
 }
 
 JobResult
-ExperimentEngine::runJob(const ExperimentJob &job, size_t index)
+ExperimentEngine::runJob(const ExperimentJob &job, size_t index,
+                         std::chrono::steady_clock::duration prepaid)
 {
     JobResult out;
     out.workload = job.workload;
@@ -335,10 +452,10 @@ ExperimentEngine::runJob(const ExperimentJob &job, size_t index)
     MetricSinkScope sink(jm);
 
     try {
-        // Validate before building any simulation state: a malformed
+        // Admit before building any simulation state: a malformed
         // sweep point fails fast as a config error without consuming a
         // functional execution.
-        if (std::string msg = job.config.validate(job.arch); !msg.empty()) {
+        if (std::string msg = admissionError(job); !msg.empty()) {
             out.error = msg;
             out.errorKind = SimErrorKind::Config;
             return out;
@@ -346,24 +463,14 @@ ExperimentEngine::runJob(const ExperimentJob &job, size_t index)
 
         // Per-job config copy: the wall-clock deadline (if any) is
         // anchored at job entry, so time spent tracing, compiling or
-        // stalled counts against it — not just the replay loop.
+        // stalled counts against it — not just the replay loop. When
+        // the trace pre-pass fetched this job's traces on its behalf
+        // (@p prepaid), the anchor moves back by that long, so the job
+        // pays for the functional execution exactly as it would at
+        // --jobs 1.
         SystemConfig cfg = job.config;
-        cfg.anchorWatchdogs(std::chrono::steady_clock::now());
-
+        cfg.anchorWatchdogs(std::chrono::steady_clock::now() - prepaid);
         auto model = makeCoreModel(job.arch, cfg);
-        if (!model) {
-            out.error = "unknown architecture '" + job.arch + "'";
-            out.errorKind = SimErrorKind::Config;
-            return out;
-        }
-
-        std::function<WorkloadInstance()> make =
-            job.make ? job.make : registryMake(job.workload);
-        if (!make) {
-            out.error = "unknown workload '" + job.workload + "'";
-            out.errorKind = SimErrorKind::Config;
-            return out;
-        }
 
         TraceResult traced;
         try {
@@ -372,7 +479,8 @@ ExperimentEngine::runJob(const ExperimentJob &job, size_t index)
                 inj->fire(FaultInjector::Point::Trace, index);
             // The jobKey rule makes custom-make labels unique, so a
             // job's workload name determines its instance.
-            traced = cache_.get(job.workload, make, /*nameIsUnique=*/true);
+            traced = cache_.get(job.workload, makeOf(job),
+                                /*nameIsUnique=*/true);
         } catch (const SimError &e) {
             out.error = e.what();
             out.errorKind = e.kind();

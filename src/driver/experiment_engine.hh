@@ -10,7 +10,10 @@
  * golden-checked exactly once per sweep, not once per config point —
  * and replays them on the requested core model. Replay is const on a
  * shared immutable TraceSet, so concurrent replays of the same traces
- * are safe.
+ * are safe. With more than one worker the pool first fetches every
+ * workload's traces, then dispatches the jobs longest-first by the
+ * size of those traces (see longestFirst), so the biggest replays do
+ * not start last.
  *
  * Determinism: results are written into a slot per job, so the output
  * vector preserves submission order regardless of worker count, and the
@@ -45,6 +48,8 @@
 #define VGIW_DRIVER_EXPERIMENT_ENGINE_HH
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -225,6 +230,14 @@ struct EngineOptions
     const std::atomic<bool> *stop = nullptr;
 };
 
+/**
+ * The dispatch order of @p pending (job indices): descending
+ * @p cost[i], ties kept in submission order. Jobs whose workload
+ * failed to trace carry cost 0 and so go last; they fail fast anyway.
+ */
+std::vector<size_t> longestFirst(const std::vector<size_t> &pending,
+                                 const std::vector<uint64_t> &cost);
+
 /** Parallel (workload × config × architecture) sweep executor. */
 class ExperimentEngine
 {
@@ -324,13 +337,28 @@ class ExperimentEngine
 
     /** One job, start to terminal result: runJobWithRetry plus the
      * metrics serialisation. Pure of sweep bookkeeping, so a shard
-     * worker runs exactly this. */
-    JobResult execute(const ExperimentJob &job, size_t index);
+     * worker runs exactly this. @p prepaid is the time the trace
+     * pre-pass spent fetching this job's traces on its behalf; the
+     * first attempt's wall-clock deadline is charged for it. */
+    JobResult execute(const ExperimentJob &job, size_t index,
+                      std::chrono::steady_clock::duration prepaid = {});
 
-    JobResult runJob(const ExperimentJob &job, size_t index);
+    JobResult runJob(const ExperimentJob &job, size_t index,
+                     std::chrono::steady_clock::duration prepaid);
     /** runJob under the RetryPolicy: escalating watchdog budgets per
      * attempt, quarantine on exhaustion, drain-aware. */
-    JobResult runJobWithRetry(const ExperimentJob &job, size_t index);
+    JobResult runJobWithRetry(const ExperimentJob &job, size_t index,
+                              std::chrono::steady_clock::duration prepaid);
+    /** The multi-worker executor of run(): trace pre-pass, then
+     * longest-first dispatch of @p pending. */
+    void runPool(const std::vector<ExperimentJob> &jobs,
+                 const std::vector<size_t> &pending, unsigned workers,
+                 const Deliver &deliver);
+    /** Whether the stop flag asks the sweep to drain. */
+    bool stopRequested() const
+    {
+        return opts_.stop && opts_.stop->load(std::memory_order_acquire);
+    }
     /** Serialised onResult/onFailure dispatch with the callback guard
      * (and the callback injection point) applied. */
     void report(size_t index, JobResult &result);

@@ -163,6 +163,28 @@ TEST(MetricsCollector, ChromeTraceShape)
     EXPECT_NE(doc.find("\"ts\":0.000"), std::string::npos);
 }
 
+TEST(MetricsCollector, ChromeTraceNumbersThreadsInDispatchOrder)
+{
+    // Job 1's span starts first, on another thread; job 0's starts
+    // later, here. tid follows who began first, not submission order.
+    MetricsCollector c;
+    c.reset(2);
+    c.setLabel(0, "job0");
+    c.setLabel(1, "job1");
+    std::thread([&c] { MetricSpan s(&c.job(1), "trace"); }).join();
+    {
+        MetricSpan s(&c.job(0), "attempt");
+    }
+    const std::string doc = c.chromeTraceJson();
+    const size_t job0 = doc.find("\"name\":\"attempt\"");
+    const size_t job1 = doc.find("\"name\":\"trace\"");
+    ASSERT_NE(job0, std::string::npos);
+    ASSERT_NE(job1, std::string::npos);
+    EXPECT_NE(doc.find("\"tid\":1", job0), std::string::npos);
+    EXPECT_LT(doc.find("\"tid\":1", job0), job1);
+    EXPECT_NE(doc.find("\"tid\":0", job1), std::string::npos);
+}
+
 TEST(MetricsCollector, ChromeTraceSkipsUnclosedSpans)
 {
     MetricsCollector c;

@@ -4,16 +4,22 @@
  * serial one (same traces, same replays, deterministic result order), a
  * golden-failing workload must be skipped rather than abort the sweep,
  * and the JSON-lines emission must produce one well-formed object per
- * result.
+ * result. The multi-worker trace pre-pass must contain every failure a
+ * functional execution can raise, charge its time to the job it traced
+ * for, honour a stop request, and dispatch jobs longest-first.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <stdexcept>
+#include <thread>
 
 #include "driver/experiment_engine.hh"
 #include "driver/result_journal.hh"
+#include "ir/builder.hh"
 #include "power/energy_model.hh"
 #include "workloads/workload.hh"
 
@@ -288,6 +294,227 @@ TEST(ExperimentEngine, JsonLineIsWellFormedPerResult)
     EXPECT_NE(fline.find("\"golden\":false"), std::string::npos);
     EXPECT_NE(fline.find("\"error\":"), std::string::npos);
     EXPECT_EQ(fline.find("\"cycles\":"), std::string::npos);
+}
+
+TEST(ExperimentEngine, LongestFirstOrdersByDescendingCost)
+{
+    const std::vector<uint64_t> cost = {5, 90, 12, 40};
+    EXPECT_EQ(longestFirst({0, 1, 2, 3}, cost),
+              (std::vector<size_t>{1, 3, 2, 0}));
+    // Only the pending indices are ordered; cost covers every job.
+    EXPECT_EQ(longestFirst({0, 2, 3}, cost), (std::vector<size_t>{3, 2, 0}));
+}
+
+TEST(ExperimentEngine, LongestFirstIsStableAmongEqualCosts)
+{
+    const std::vector<uint64_t> cost = {7, 9, 7, 9, 7};
+    EXPECT_EQ(longestFirst({0, 1, 2, 3, 4}, cost),
+              (std::vector<size_t>{1, 3, 0, 2, 4}));
+}
+
+TEST(ExperimentEngine, LongestFirstPutsZeroCostLast)
+{
+    // Zero cost = the workload failed to trace; those jobs fail fast.
+    const std::vector<uint64_t> cost = {0, 3, 0, 1};
+    EXPECT_EQ(longestFirst({0, 1, 2, 3}, cost),
+              (std::vector<size_t>{1, 3, 0, 2}));
+}
+
+TEST(ExperimentEngine, LongestFirstHandlesEmptyAndSingleJob)
+{
+    EXPECT_TRUE(longestFirst({}, {}).empty());
+    EXPECT_EQ(longestFirst({0}, {0}), (std::vector<size_t>{0}));
+    EXPECT_EQ(longestFirst({2}, {4, 5, 6}), (std::vector<size_t>{2}));
+}
+
+/** Two jobs of the custom workload @p make plus one healthy job. */
+std::vector<ExperimentJob>
+withHealthyJob(const std::string &label,
+               std::function<WorkloadInstance()> make)
+{
+    std::vector<ExperimentJob> jobs(3);
+    jobs[0].workload = label;
+    jobs[0].arch = "vgiw";
+    jobs[0].make = make;
+    jobs[1] = jobs[0];
+    jobs[1].arch = "fermi";
+    jobs[2].workload = "NN/euclid";
+    jobs[2].arch = "vgiw";
+    return jobs;
+}
+
+/**
+ * Run @p jobs serially and on two workers (trace pre-pass on): both
+ * must finish with the same per-job outcome and error, and the same
+ * number of functional executions, @p execs.
+ */
+void
+expectPrepassMatchesSerial(const std::vector<ExperimentJob> &jobs,
+                           SimErrorKind kind, const std::string &needle,
+                           uint64_t execs)
+{
+    ExperimentEngine serial{EngineOptions{1}};
+    ExperimentEngine pooled{EngineOptions{2}};
+    const auto a = serial.run(jobs);
+    const auto b = pooled.run(jobs);
+    ASSERT_EQ(a.size(), jobs.size());
+    ASSERT_EQ(b.size(), jobs.size());
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(a[i].ok(), b[i].ok()) << i;
+        EXPECT_EQ(a[i].errorKind, b[i].errorKind) << i;
+        EXPECT_EQ(a[i].error, b[i].error) << i;
+    }
+    for (size_t i = 0; i < 2; ++i) {
+        EXPECT_FALSE(b[i].ok()) << i;
+        EXPECT_EQ(b[i].errorKind, kind) << i;
+        EXPECT_NE(b[i].error.find(needle), std::string::npos) << b[i].error;
+    }
+    EXPECT_TRUE(b[2].ok()) << b[2].error;
+    EXPECT_EQ(serial.traceCache().functionalExecutions(), execs);
+    EXPECT_EQ(pooled.traceCache().functionalExecutions(), execs);
+}
+
+TEST(ExperimentEngine, PrepassContainsInterpreterPanic)
+{
+    // An out-of-range load panics in the interpreter. Without a
+    // PanicCaptureScope around the pre-pass fetch it would abort the
+    // whole process.
+    auto make = []() {
+        KernelBuilder kb("oob", 0);
+        BlockRef b = kb.block("entry");
+        b.load(Type::I32, Operand::constU32(0x7ffffffc));
+        b.exit();
+        WorkloadInstance w;
+        w.suite = "SYNTH";
+        w.kernel = kb.finish();
+        w.launch.numCtas = 1;
+        w.launch.ctaSize = 1;
+        w.check = [](const MemoryImage &, std::string &) { return true; };
+        return w;
+    };
+    expectPrepassMatchesSerial(withHealthyJob("SYNTH/oob", make),
+                               SimErrorKind::Internal, "out of range", 2);
+}
+
+TEST(ExperimentEngine, PrepassContainsThrowingMake)
+{
+    // A throwing make() is never cached, so it is not a functional
+    // execution, and each job's own fetch reproduces the error.
+    auto make = []() -> WorkloadInstance {
+        throw std::runtime_error("make exploded");
+    };
+    expectPrepassMatchesSerial(withHealthyJob("SYNTH/throws", make),
+                               SimErrorKind::Functional, "make exploded", 1);
+}
+
+TEST(ExperimentEngine, PrepassContainsGoldenFailure)
+{
+    const ExperimentJob bad = failingJob();
+    expectPrepassMatchesSerial(withHealthyJob(bad.workload, bad.make),
+                               SimErrorKind::Golden, "intentional mismatch",
+                               2);
+}
+
+TEST(ExperimentEngine, PrepassTimeCountsAgainstTheTracedJobsDeadline)
+{
+    // The deadline covers the functional execution a job depends on.
+    // The pre-pass traces on behalf of the workload's first dispatched
+    // job, so that job must trip exactly as it does at --jobs 1.
+    std::vector<ExperimentJob> jobs(2);
+    jobs[0].workload = "SYNTH/slow_make";
+    jobs[0].arch = "vgiw";
+    jobs[0].make = []() {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        return makeWorkload("NN/euclid");
+    };
+    WatchdogConfig wd;
+    wd.deadlineMs = 20;
+    jobs[0].config.setWatchdog(wd);
+    jobs[1] = jobs[0];
+    jobs[1].arch = "fermi";
+
+    for (unsigned workers : {1u, 2u}) {
+        ExperimentEngine engine{EngineOptions{workers}};
+        const auto results = engine.run(jobs);
+        EXPECT_EQ(results[0].errorKind, SimErrorKind::Watchdog) << workers;
+        EXPECT_NE(results[0].error.find("wall-clock deadline"),
+                  std::string::npos)
+            << workers << ": " << results[0].error;
+        EXPECT_EQ(engine.traceCache().functionalExecutions(), 1u);
+    }
+}
+
+TEST(ExperimentEngine, PrepassSkipsJobsThatFailAdmission)
+{
+    // An invalid config or an unknown architecture fails fast without
+    // a functional execution, with or without the pre-pass.
+    std::vector<ExperimentJob> jobs(3);
+    jobs[0].workload = "NN/euclid";
+    jobs[0].arch = "vgiw";
+    jobs[0].config.vgiw.lvcBytes = 100;
+    jobs[1].workload = "NN/euclid";
+    jobs[1].arch = "bogus";
+    jobs[2].workload = "BFS/Kernel";
+    jobs[2].arch = "vgiw";
+
+    ExperimentEngine engine{EngineOptions{2}};
+    const auto results = engine.run(jobs);
+    EXPECT_EQ(results[0].errorKind, SimErrorKind::Config);
+    EXPECT_EQ(results[1].errorKind, SimErrorKind::Config);
+    EXPECT_TRUE(results[2].ok()) << results[2].error;
+    EXPECT_EQ(engine.traceCache().functionalExecutions(), 1u);
+}
+
+TEST(ExperimentEngine, StopBeforeRunDrainsEveryJobWithoutTracing)
+{
+    SystemConfig cfg;
+    auto jobs = ExperimentEngine::suiteJobs(cfg, {"vgiw", "fermi"});
+    jobs.resize(8);
+    std::atomic<bool> stop{true};
+    EngineOptions opts{2};
+    opts.stop = &stop;
+    ExperimentEngine engine(opts);
+    const auto results = engine.run(jobs);
+    ASSERT_EQ(results.size(), jobs.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+        EXPECT_TRUE(results[i].drained) << i;
+        EXPECT_FALSE(results[i].ran) << i;
+    }
+    EXPECT_EQ(engine.traceCache().functionalExecutions(), 0u);
+}
+
+TEST(ExperimentEngine, PrepassTraceSpanLandsOnFirstDispatchedJob)
+{
+    // Two workloads, two archs each. The pre-pass fetch is a depth-0
+    // `trace` span in the sink of each workload's first job; every
+    // job still records its own (cache-hit) trace under its attempt.
+    std::vector<ExperimentJob> jobs;
+    for (const char *w : {"NN/euclid", "BFS/Kernel"}) {
+        for (const char *arch : {"vgiw", "fermi"}) {
+            ExperimentJob j;
+            j.workload = w;
+            j.arch = arch;
+            jobs.push_back(j);
+        }
+    }
+    MetricsCollector collector;
+    EngineOptions opts{2};
+    opts.metrics = &collector;
+    ExperimentEngine engine(opts);
+    for (const auto &r : engine.run(jobs))
+        ASSERT_TRUE(r.ok()) << r.error;
+
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        size_t prepass = 0;
+        size_t nested = 0;
+        for (const SpanRecord &s : collector.job(i).spans()) {
+            if (s.name != "trace")
+                continue;
+            ++(s.depth == 0 ? prepass : nested);
+        }
+        EXPECT_EQ(prepass, i % 2 == 0 ? 1u : 0u) << i;
+        EXPECT_EQ(nested, 1u) << i;
+    }
 }
 
 } // namespace

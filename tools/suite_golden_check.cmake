@@ -1,7 +1,10 @@
 # Golden-output check: the default full-suite --json artifact must be
 # byte-identical to the committed reference rows, in-process and
-# sharded alike. A model change that moves any simulated number fails
-# here; the PR that makes it must say which numbers moved and why.
+# sharded alike. The jobs4 leg pins four in-process workers, so the
+# trace pre-pass and longest-first dispatch run even where the default
+# worker count (hardware_concurrency) is 1. A model change that moves
+# any simulated number fails here; the PR that makes it must say which
+# numbers moved and why.
 #
 #   cmake -DBIN=<vgiw_run> -DGOLDEN=<suite.jsonl> -DWORKDIR=<scratch dir>
 #         -P suite_golden_check.cmake
@@ -13,11 +16,13 @@ endif ()
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 
-foreach (leg "plain" "shards2")
+foreach (leg "plain" "shards2" "jobs4")
     set(out "${WORKDIR}/suite_${leg}.jsonl")
     set(extra "")
     if (leg STREQUAL "shards2")
         set(extra --shards 2)
+    elseif (leg STREQUAL "jobs4")
+        set(extra --jobs 4)
     endif ()
     execute_process(COMMAND ${BIN} --suite ${extra} --json "${out}"
                     RESULT_VARIABLE rc
