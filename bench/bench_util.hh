@@ -14,23 +14,24 @@
 #include <vector>
 
 #include "driver/experiment_engine.hh"
-#include "driver/runner.hh"
 #include "workloads/workload.hh"
 
 namespace vgiw::bench
 {
 
 /**
- * Run every Table 2 kernel on all three architectures. The sweep is
- * sharded over the experiment engine's worker pool (hardware
- * concurrency by default); results come back in registry order and are
- * bit-identical to a serial run.
+ * Run every Table 2 kernel on every architecture through
+ * ExperimentEngine::compare. The sweep is sharded over the engine's
+ * worker pool (hardware concurrency); results come back in registry
+ * order and are bit-identical to a serial run.
  */
 inline std::vector<ArchComparison>
-runSuite(const SystemConfig &cfg = {}, unsigned jobs = 0)
+runSuite(const SystemConfig &cfg = {})
 {
-    ExperimentEngine engine{EngineOptions{jobs}};
-    return engine.compareSuite(cfg);
+    std::vector<std::string> names;
+    for (const auto &entry : workloadRegistry())
+        names.push_back(entry.name);
+    return ExperimentEngine{}.compare(names, cfg);
 }
 
 /** Geometric mean of positive values. */

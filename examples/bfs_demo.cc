@@ -10,7 +10,7 @@
 
 #include <cstdio>
 
-#include "driver/runner.hh"
+#include "driver/experiment_engine.hh"
 #include "workloads/workload.hh"
 
 using namespace vgiw;
@@ -41,8 +41,7 @@ main()
                 w.fullName().c_str(), w.domain.c_str(),
                 w.kernel.numBlocks(), w.launch.numThreads());
 
-    Runner runner;
-    ArchComparison c = runner.compare(w);
+    ArchComparison c = ExperimentEngine{}.compare({"BFS/Kernel"}).front();
     std::printf("Golden check: %s\n\n",
                 c.goldenPassed ? "PASSED" : c.goldenError.c_str());
 

@@ -13,9 +13,11 @@
 
 #include "cgrf/block_splitter.hh"
 #include "cgrf/placer.hh"
-#include "driver/runner.hh"
 #include "interp/interpreter.hh"
 #include "ir/builder.hh"
+#include "sgmf/sgmf_core.hh"
+#include "simt/fermi_core.hh"
+#include "vgiw/vgiw_core.hh"
 
 using namespace vgiw;
 

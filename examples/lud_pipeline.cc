@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "driver/runner.hh"
-#include "interp/interpreter.hh"
+#include "driver/trace_cache.hh"
+#include "vgiw/vgiw_core.hh"
 #include "workloads/workload.hh"
 
 using namespace vgiw;
@@ -33,14 +33,13 @@ main()
     const char *stages[] = {"LUD/lud_diagonal", "LUD/lud_perimeter",
                             "LUD/lud_internal"};
 
-    Runner runner;
     uint64_t total_cycles = 0, total_reconfigs = 0;
     EnergyAccount total_energy;
     std::printf("  %-22s %9s %10s %10s %9s\n", "kernel launch", "threads",
                 "cycles", "reconfigs", "L1 miss");
     for (const char *stage : stages) {
         WorkloadInstance w = makeWorkload(stage);
-        TraceResult traced = runner.trace(w);
+        TraceResult traced = traceWorkload(w);
         if (!traced.ok()) {
             std::printf("golden check failed for %s: %s\n", stage,
                         traced.error.c_str());

@@ -11,7 +11,6 @@
 
 #include <cstdio>
 
-#include "driver/runner.hh"
 #include "interp/interpreter.hh"
 #include "ir/builder.hh"
 #include "sgmf/sgmf_core.hh"

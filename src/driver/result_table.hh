@@ -83,7 +83,7 @@ class ResultTable
 
     /**
      * The row as a JSON-lines object (no newline) — the single
-     * formatting code path behind the journal, --json and toJsonLine.
+     * formatting code path behind the journal and --json.
      * Rows with a verbatimJson line (restored from a journal, or
      * rendered by a shard worker) re-emit it byte-for-byte. The view
      * is cached and stays valid until the row is re-filled or the

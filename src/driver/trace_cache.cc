@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "driver/artifact_store.hh"
+#include "interp/interpreter.hh"
 #include "ir/printer.hh"
 
 namespace vgiw
@@ -41,6 +42,24 @@ hex64(uint64_t v)
 constexpr uint64_t kGoldenPassedFlag = 1;
 
 } // namespace
+
+TraceResult
+traceWorkload(const WorkloadInstance &w)
+{
+    MemoryImage mem = w.memory;  // keep the instance reusable
+    TraceResult out;
+    out.traces = std::make_shared<const TraceSet>(
+        Interpreter{}.run(w.kernel, w.launch, mem));
+
+    if (w.check) {
+        out.goldenPassed = w.check(mem, out.error);
+        if (!out.goldenPassed)
+            out.errorKind = SimErrorKind::Golden;
+    } else {
+        out.goldenPassed = true;
+    }
+    return out;
+}
 
 std::string
 TraceCache::keyFor(const std::string &name, const LaunchParams &launch)
@@ -116,7 +135,7 @@ TraceCache::get(const std::string &name,
         // behind it.
         execs_.fetch_add(1);
         try {
-            entry->result = Runner{}.trace(entry->workload);
+            entry->result = traceWorkload(entry->workload);
         } catch (const SimError &e) {
             entry->result = TraceResult{};
             entry->result.error = e.what();

@@ -34,7 +34,8 @@
 #include <mutex>
 #include <string>
 
-#include "driver/runner.hh"
+#include "common/sim_error.hh"
+#include "interp/trace.hh"
 #include "workloads/workload.hh"
 
 namespace vgiw
@@ -42,7 +43,40 @@ namespace vgiw
 
 class ArtifactStore;
 
-/** Memoising, thread-safe front-end to Runner::trace(). */
+/**
+ * Outcome of functionally executing one workload: the traces the core
+ * models replay plus the golden-check verdict. A failed golden check is
+ * reported here rather than thrown, so sweep harnesses can skip the
+ * workload and keep going.
+ *
+ * @warning The TraceSet borrows the Kernel of the WorkloadInstance it
+ * was produced from (see TraceSet); when the traces come straight from
+ * traceWorkload() the caller's instance must outlive them. Results
+ * handed out by TraceCache own their kernel and carry no such
+ * restriction.
+ */
+struct TraceResult
+{
+    std::shared_ptr<const TraceSet> traces;
+    bool goldenPassed = false;
+    std::string error;  ///< golden-check diagnostic when !goldenPassed
+    /** Classification of the failure: Golden for a reference mismatch,
+     * Functional when the execution itself failed; None on success. */
+    SimErrorKind errorKind = SimErrorKind::None;
+
+    /** Traces exist and the golden reference matched. */
+    bool ok() const { return goldenPassed && traces != nullptr; }
+};
+
+/**
+ * Functionally execute @p w on a copy of its memory image (the instance
+ * stays reusable) and run its golden check; the traces drive the core
+ * models. Golden-check failures are reported in the result, never
+ * thrown.
+ */
+TraceResult traceWorkload(const WorkloadInstance &w);
+
+/** Memoising, thread-safe front-end to traceWorkload(). */
 class TraceCache
 {
   public:

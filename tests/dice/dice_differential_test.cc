@@ -13,7 +13,6 @@
 
 #include "driver/artifact_store.hh"
 #include "driver/experiment_engine.hh"
-#include "driver/runner.hh"
 #include "workloads/workload.hh"
 
 namespace vgiw
@@ -26,18 +25,18 @@ TEST(DiceDifferential, FunctionalWorkMatchesAllArchsFromSharedTraces)
     // A divergence-heavy, a loop-heavy, a multi-kernel and a
     // shared-memory representative; the full registry is swept by
     // SuiteTest.IdenticalWorkAcrossArchitectures.
-    const char *workloads[] = {"BFS/Kernel", "NN/euclid", "GE/Fan1",
-                               "KMEANS/invert_mapping"};
-    SystemConfig cfg;
-    Runner runner(cfg);
-    for (const char *name : workloads) {
-        const ArchComparison c = runner.compare(makeWorkload(name));
+    const std::vector<ArchComparison> comparisons = ExperimentEngine{}.compare(
+        {"BFS/Kernel", "NN/euclid", "GE/Fan1", "KMEANS/invert_mapping"});
+    ASSERT_EQ(comparisons.size(), 4u);
+    for (const ArchComparison &c : comparisons) {
+        const std::string &name = c.workload;
         ASSERT_TRUE(c.goldenPassed) << name << ": " << c.goldenError;
         EXPECT_EQ(c.dice.dynBlockExecs, c.vgiw.dynBlockExecs) << name;
         EXPECT_EQ(c.dice.dynBlockExecs, c.fermi.dynBlockExecs) << name;
-        if (c.sgmf.supported)
+        if (c.sgmf.supported) {
             EXPECT_EQ(c.dice.dynBlockExecs, c.sgmf.dynBlockExecs)
                 << name;
+        }
         EXPECT_EQ(c.dice.dynThreadOps, c.vgiw.dynThreadOps) << name;
         // DICE folds oversized blocks instead of rejecting the kernel,
         // so unlike SGMF it must support everything.
@@ -70,9 +69,10 @@ TEST(DiceDifferential, ColdAndWarmStoreSweepsAreBitIdentical)
         ExperimentEngine engine(opts);
         auto results = engine.run(jobs);
         ASSERT_EQ(results.size(), jobs.size());
-        for (const auto &r : results) {
-            ASSERT_TRUE(r.ok()) << r.workload << ": " << r.error;
-            lines.push_back(ExperimentEngine::toJsonLine(r));
+        for (size_t i = 0; i < results.size(); ++i) {
+            ASSERT_TRUE(results[i].ok())
+                << results[i].workload << ": " << results[i].error;
+            lines.emplace_back(engine.resultTable().renderRow(i));
         }
         execs = engine.traceCache().functionalExecutions();
         comps = engine.compileCache().compilations();

@@ -652,9 +652,11 @@ TEST(ArtifactStoreCompileCache, WarmLoadSkipsCompilationOnAllArchs)
         ra.ran = rb.ran = true;
         ra.stats = cold_stats[arch++];
         rb.stats = warm_stats;
-        EXPECT_EQ(ExperimentEngine::toJsonLine(ra),
-                  ExperimentEngine::toJsonLine(rb))
-            << model->name();
+        ResultTable table;
+        table.reset(2);
+        table.fill(0, ra);
+        table.fill(1, rb);
+        EXPECT_EQ(table.renderRow(0), table.renderRow(1)) << model->name();
     }
     EXPECT_EQ(warm.compilations(), 0u);
 }
@@ -726,9 +728,10 @@ TEST(ArtifactStoreEngine, WarmSweepIsByteIdenticalWithZeroWork)
         ExperimentEngine engine{opts};
         auto results = engine.run(jobs);
         std::vector<std::string> lines;
-        for (const auto &r : results) {
-            EXPECT_TRUE(r.ok()) << r.workload << ": " << r.error;
-            lines.push_back(ExperimentEngine::toJsonLine(r));
+        for (size_t i = 0; i < results.size(); ++i) {
+            EXPECT_TRUE(results[i].ok())
+                << results[i].workload << ": " << results[i].error;
+            lines.emplace_back(engine.resultTable().renderRow(i));
         }
         struct Out
         {

@@ -14,7 +14,6 @@
 
 #include "driver/compile_cache.hh"
 #include "driver/experiment_engine.hh"
-#include "driver/runner.hh"
 #include "driver/system_config.hh"
 #include "driver/trace_cache.hh"
 #include "sgmf/sgmf_core.hh"
@@ -27,7 +26,7 @@ namespace vgiw
 namespace
 {
 
-/** Every stat toJsonLine serialises must match between two runs. */
+/** Every stat a result row serialises must match between two runs. */
 void
 expectSameStats(const RunStats &a, const RunStats &b)
 {
@@ -35,8 +34,11 @@ expectSameStats(const RunStats &a, const RunStats &b)
     ra.ran = rb.ran = true;
     ra.stats = a;
     rb.stats = b;
-    EXPECT_EQ(ExperimentEngine::toJsonLine(ra),
-              ExperimentEngine::toJsonLine(rb));
+    ResultTable table;
+    table.reset(2);
+    table.fill(0, ra);
+    table.fill(1, rb);
+    EXPECT_EQ(table.renderRow(0), table.renderRow(1));
 }
 
 TEST(CompileCache, CompiledReplayMatchesOneShotOnFullRegistry)

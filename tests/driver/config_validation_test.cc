@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "cgrf/grid.hh"
 #include "driver/experiment_engine.hh"
 #include "driver/system_config.hh"
@@ -31,6 +33,16 @@ TEST(ConfigValidation, DefaultConfigsAreValid)
     EXPECT_EQ(FermiConfig{}.validate(), "");
     EXPECT_EQ(SgmfConfig{}.validate(), "");
     EXPECT_EQ(DiceConfig{}.validate(), "");
+}
+
+TEST(ConfigValidation, Table1ConfigPrints)
+{
+    std::ostringstream os;
+    SystemConfig{}.printTable1(os);
+    const std::string s = os.str();
+    EXPECT_NE(s.find("108"), std::string::npos);
+    EXPECT_NE(s.find("32 combined FPU-ALU"), std::string::npos);
+    EXPECT_NE(s.find("GDDR5"), std::string::npos);
 }
 
 TEST(ConfigValidation, GridStructuralChecks)
@@ -165,7 +177,7 @@ TEST(ConfigValidation, EngineFailsFastWithConfigKind)
     // execution.
     EXPECT_EQ(engine.traceCache().functionalExecutions(), 0u);
 
-    const std::string line = ExperimentEngine::toJsonLine(results[0]);
+    const std::string line(engine.resultTable().renderRow(0));
     EXPECT_NE(line.find("\"error_kind\":\"config\""), std::string::npos);
 }
 

@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "driver/core_model.hh"
-#include "driver/runner.hh"
 #include "driver/system_config.hh"
+#include "driver/trace_cache.hh"
 #include "workloads/workload.hh"
 
 namespace vgiw
@@ -39,9 +39,8 @@ TEST(CoreModel, FactoryCoversAllArchitecturesAndRejectsUnknown)
 TEST(CoreModel, VirtualDispatchMatchesDirectCalls)
 {
     SystemConfig cfg;
-    Runner runner(cfg);
     WorkloadInstance w = makeWorkload("NN/euclid");
-    TraceResult traced = runner.trace(w);
+    TraceResult traced = traceWorkload(w);
     ASSERT_TRUE(traced.ok());
 
     RunStats direct = VgiwCore(cfg.vgiw).run(*traced.traces);
@@ -60,9 +59,8 @@ TEST(CoreModel, VirtualDispatchMatchesDirectCalls)
 TEST(CoreModel, RunStatsArchMatchesModelName)
 {
     SystemConfig cfg;
-    Runner runner(cfg);
     WorkloadInstance w = makeWorkload("GE/Fan1");
-    TraceResult traced = runner.trace(w);
+    TraceResult traced = traceWorkload(w);
     ASSERT_TRUE(traced.ok());
     for (const auto &m : makeCoreModels(cfg)) {
         RunStats rs = m->run(*traced.traces);

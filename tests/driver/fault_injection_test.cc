@@ -196,8 +196,8 @@ TEST(FaultInjection, GoldenMismatchIsGoldenKind)
     EXPECT_FALSE(results[0].ok());
     EXPECT_FALSE(results[0].goldenPassed);
     EXPECT_EQ(results[0].errorKind, SimErrorKind::Golden);
-    EXPECT_NE(ExperimentEngine::toJsonLine(results[0])
-                  .find("\"error_kind\":\"golden\""),
+    EXPECT_NE(engine.resultTable().renderRow(0).find(
+                  "\"error_kind\":\"golden\""),
               std::string::npos);
 }
 
@@ -258,8 +258,7 @@ TEST(FaultInjection, CycleCeilingTripsWatchdogOnEveryArch)
         EXPECT_TRUE(results[0].partial.valid) << arch;
         EXPECT_GT(results[0].partial.cycles, 10u) << arch;
 
-        const std::string line =
-            ExperimentEngine::toJsonLine(results[0]);
+        const std::string line(engine.resultTable().renderRow(0));
         EXPECT_NE(line.find("\"error_kind\":\"watchdog\""),
                   std::string::npos)
             << arch;
@@ -341,7 +340,10 @@ TEST(FaultInjection, JsonEscapesControlDelAndHighBytes)
     r.workload = "W";
     r.arch = "vgiw";
     r.configLabel = std::string("a\x07") + "\x7f\xff" + "b";
-    const std::string line = ExperimentEngine::toJsonLine(r);
+    ResultTable table;
+    table.reset(1);
+    table.fill(0, r);
+    const std::string line(table.renderRow(0));
 
     EXPECT_NE(line.find("\\u0007"), std::string::npos);
     EXPECT_NE(line.find("\\u007f"), std::string::npos);
@@ -362,7 +364,7 @@ TEST(FaultInjection, HealthyJsonLineCarriesNoFailureFields)
     ExperimentEngine engine;
     auto results = engine.run({job("NN/euclid", "vgiw")});
     ASSERT_TRUE(results[0].ok());
-    const std::string line = ExperimentEngine::toJsonLine(results[0]);
+    const std::string line(engine.resultTable().renderRow(0));
     EXPECT_EQ(line.find("error_kind"), std::string::npos);
     EXPECT_EQ(line.find("partial_"), std::string::npos);
 }

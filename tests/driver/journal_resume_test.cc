@@ -73,10 +73,12 @@ TEST(JournalResume, KilledSweepResumesBitIdentically)
     std::vector<std::string> reference;
     {
         ExperimentEngine engine{EngineOptions{1}};
-        for (const auto &r : engine.run(jobs)) {
+        const auto results = engine.run(jobs);
+        for (size_t i = 0; i < results.size(); ++i) {
+            const JobResult &r = results[i];
             ASSERT_TRUE(r.ok()) << r.workload << "/" << r.arch << ": "
                                 << r.error;
-            reference.push_back(ExperimentEngine::toJsonLine(r));
+            reference.emplace_back(engine.resultTable().renderRow(i));
         }
     }
 
@@ -134,8 +136,7 @@ TEST(JournalResume, KilledSweepResumesBitIdentically)
             << key;
         EXPECT_TRUE(results[i].ok())
             << key << ": " << results[i].error;
-        EXPECT_EQ(ExperimentEngine::toJsonLine(results[i]),
-                  reference[i])
+        EXPECT_EQ(engine.resultTable().renderRow(i), reference[i])
             << key;
     }
 

@@ -77,15 +77,14 @@ TEST(MetricsDeterminism, NoCollectorMeansNoMetricsFieldAndIdenticalJson)
 
     ASSERT_EQ(without.size(), with.size());
     for (size_t i = 0; i < without.size(); ++i) {
-        const std::string bare =
-            ExperimentEngine::toJsonLine(without[i]);
+        const std::string bare(plain.resultTable().renderRow(i));
         EXPECT_EQ(bare.find("\"metrics\""), std::string::npos) << i;
 
         // The instrumented line is the bare line plus exactly the
         // metrics suffix before the closing brace: stripping it must
         // restore the bare bytes (the --metrics-off bit-identity
         // contract).
-        std::string line = ExperimentEngine::toJsonLine(with[i]);
+        std::string line(instrumented.resultTable().renderRow(i));
         const size_t at = line.find(",\"metrics\":");
         ASSERT_NE(at, std::string::npos) << i;
         line.erase(at, line.size() - at - 1);  // keep the final '}'

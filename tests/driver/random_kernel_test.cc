@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
-#include "driver/runner.hh"
+#include "driver/system_config.hh"
 #include "interp/interpreter.hh"
 #include "helpers/random_kernel.hh"
 #include "ir/builder.hh"

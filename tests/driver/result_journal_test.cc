@@ -264,8 +264,8 @@ TEST(ResultJournal, EngineWorkersJournalEveryJobExactlyOnce)
     removeJournal(path);
 
     // A small real sweep on 4 workers: every job's terminal result must
-    // land in the journal under its jobKey, with the exact toJsonLine
-    // bytes, despite concurrent appends.
+    // land in the journal under its jobKey, with the exact bytes of its
+    // result-table row, despite concurrent appends.
     SystemConfig cfg;
     std::vector<ExperimentJob> jobs;
     for (const char *w : {"NN/euclid", "BFS/Kernel", "NN/euclid"}) {
@@ -303,8 +303,7 @@ TEST(ResultJournal, EngineWorkersJournalEveryJobExactlyOnce)
         ASSERT_EQ(loaded.entries.count(key), 1u) << key;
         const auto &e = loaded.entries.at(key);
         EXPECT_TRUE(e.ok) << key;
-        EXPECT_EQ(e.jsonLine,
-                  ExperimentEngine::toJsonLine(results[index]))
+        EXPECT_EQ(e.jsonLine, engine.resultTable().renderRow(index))
             << key;
     }
 }
@@ -334,8 +333,9 @@ TEST(ResultJournal, ResumedEngineRestoresJournaledJobsVerbatim)
         EngineOptions opts{1};
         opts.journal = &journal;
         ExperimentEngine engine(opts);
-        for (const auto &r : engine.run(jobs))
-            reference.push_back(ExperimentEngine::toJsonLine(r));
+        const auto results = engine.run(jobs);
+        for (size_t i = 0; i < results.size(); ++i)
+            reference.emplace_back(engine.resultTable().renderRow(i));
     }
 
     // Resume against the complete journal: every job is satisfied from
@@ -353,8 +353,7 @@ TEST(ResultJournal, ResumedEngineRestoresJournaledJobsVerbatim)
     for (size_t i = 0; i < results.size(); ++i) {
         EXPECT_TRUE(results[i].restored) << i;
         EXPECT_TRUE(results[i].ok()) << i << ": " << results[i].error;
-        EXPECT_EQ(ExperimentEngine::toJsonLine(results[i]),
-                  reference[i])
+        EXPECT_EQ(engine.resultTable().renderRow(i), reference[i])
             << i;
     }
 }

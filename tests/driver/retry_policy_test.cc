@@ -155,8 +155,8 @@ TEST(RetryPolicy, TransientFaultRecoversBitIdentically)
     EXPECT_EQ(results[0].attempts, 2u);
     EXPECT_FALSE(results[0].quarantined);
     EXPECT_EQ(inj.fired(), 1u);
-    EXPECT_EQ(ExperimentEngine::toJsonLine(results[0]),
-              ExperimentEngine::toJsonLine(ref[0]));
+    EXPECT_EQ(engine.resultTable().renderRow(0),
+              reference.resultTable().renderRow(0));
 }
 
 TEST(RetryPolicy, TransientFaultWithoutRetriesFailsOnce)
@@ -197,7 +197,7 @@ TEST(RetryPolicy, WatchdogExhaustionQuarantines)
     EXPECT_EQ(results[0].attempts, 3u);
     EXPECT_TRUE(results[0].quarantined);
 
-    const std::string line = ExperimentEngine::toJsonLine(results[0]);
+    const std::string line(engine.resultTable().renderRow(0));
     EXPECT_NE(line.find("\"attempts\":3"), std::string::npos) << line;
     EXPECT_NE(line.find("\"quarantined\":true"), std::string::npos)
         << line;

@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "driver/runner.hh"
+#include "driver/experiment_engine.hh"
 #include "workloads/workload.hh"
 
 namespace vgiw
@@ -27,9 +27,8 @@ class SuiteTest : public ::testing::TestWithParam<std::string>
         static std::map<std::string, ArchComparison> cache;
         auto it = cache.find(name);
         if (it == cache.end()) {
-            Runner runner;
-            it = cache.emplace(name,
-                               runner.compare(makeWorkload(name))).first;
+            ArchComparison c = ExperimentEngine{}.compare({name}).front();
+            it = cache.emplace(name, std::move(c)).first;
         }
         return it->second;
     }
@@ -115,9 +114,8 @@ TEST_P(SuiteTest, MemoryTrafficStaysExplainable)
 
 TEST_P(SuiteTest, CoalescingExtensionNeverHurtsMuch)
 {
-    Runner runner;
     WorkloadInstance w = makeWorkload(GetParam());
-    TraceResult traced = runner.trace(w);
+    TraceResult traced = traceWorkload(w);
     const TraceSet &traces = *traced.traces;
     VgiwConfig base;
     VgiwConfig coal;

@@ -28,6 +28,35 @@ entryFor(const std::string &name)
     throw std::runtime_error("no entry " + name);
 }
 
+TEST(TraceCache, TraceWorkloadReturnsValueResult)
+{
+    WorkloadInstance w = makeWorkload("NN/euclid");
+    TraceResult traced = traceWorkload(w);
+    EXPECT_TRUE(traced.ok());
+    EXPECT_TRUE(traced.goldenPassed);
+    EXPECT_TRUE(traced.error.empty());
+    ASSERT_TRUE(traced.traces);
+    EXPECT_EQ(traced.traces->kernel, &w.kernel);
+    EXPECT_GT(traced.traces->totalBlockExecs(), 0u);
+}
+
+TEST(TraceCache, TraceWorkloadReportsGoldenFailureInsteadOfThrowing)
+{
+    WorkloadInstance w = makeWorkload("NN/euclid");
+    w.check = [](const MemoryImage &, std::string &err) {
+        err = "expected 42, got 43";
+        return false;
+    };
+    TraceResult traced = traceWorkload(w);
+    EXPECT_FALSE(traced.ok());
+    EXPECT_FALSE(traced.goldenPassed);
+    EXPECT_EQ(traced.error, "expected 42, got 43");
+    EXPECT_EQ(traced.errorKind, SimErrorKind::Golden);
+    // The traces themselves are still produced (for post-mortems).
+    ASSERT_TRUE(traced.traces);
+    EXPECT_GT(traced.traces->totalBlockExecs(), 0u);
+}
+
 TEST(TraceCache, OneFunctionalExecutionPerWorkloadInMultiConfigSweep)
 {
     // A design-space sweep: 4 workloads x 3 LVC sizes x jobs=4. The

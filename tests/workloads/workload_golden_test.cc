@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "driver/runner.hh"
+#include "driver/trace_cache.hh"
 #include "workloads/workload.hh"
 
 namespace vgiw
@@ -22,8 +22,7 @@ class GoldenTest : public ::testing::TestWithParam<std::string>
 TEST_P(GoldenTest, FunctionalExecutionMatchesNativeReference)
 {
     WorkloadInstance w = makeWorkload(GetParam());
-    Runner runner;
-    TraceResult traced = runner.trace(w);
+    TraceResult traced = traceWorkload(w);
     EXPECT_TRUE(traced.goldenPassed) << traced.error;
     ASSERT_TRUE(traced.traces);
     const TraceSet &traces = *traced.traces;

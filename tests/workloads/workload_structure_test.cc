@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "cgrf/placer.hh"
-#include "driver/runner.hh"
+#include "driver/trace_cache.hh"
 #include "ir/op_counts.hh"
 #include "workloads/workload.hh"
 
@@ -49,11 +49,10 @@ TEST(WorkloadStructure, DivergentKernelsActuallyDiverge)
     // The suite must exercise real control divergence: these kernels'
     // threads take different paths (block execution counts differ from
     // threads x blocks).
-    Runner runner;
     for (const char *name :
          {"BFS/Kernel", "GE/Fan2", "SM/compute_cost"}) {
         WorkloadInstance w = makeWorkload(name);
-        TraceResult traced = runner.trace(w);
+        TraceResult traced = traceWorkload(w);
         const TraceSet &t = *traced.traces;
         bool divergent = false;
         const uint32_t len0 = t.numExecs(0);

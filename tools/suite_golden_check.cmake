@@ -2,9 +2,10 @@
 # byte-identical to the committed reference rows, in-process and
 # sharded alike. The jobs4 leg pins four in-process workers, so the
 # trace pre-pass and longest-first dispatch run even where the default
-# worker count (hardware_concurrency) is 1. A model change that moves
-# any simulated number fails here; the PR that makes it must say which
-# numbers moved and why.
+# worker count (hardware_concurrency) is 1. The workload leg pins
+# --workload: its rows must be the reference rows of that workload.
+# A model change that moves any simulated number fails here; the PR
+# that makes it must say which numbers moved and why.
 #
 #   cmake -DBIN=<vgiw_run> -DGOLDEN=<suite.jsonl> -DWORKDIR=<scratch dir>
 #         -P suite_golden_check.cmake
@@ -39,3 +40,20 @@ foreach (leg "plain" "shards2" "jobs4")
                 "(${GOLDEN} vs ${out})")
     endif ()
 endforeach ()
+
+set(workload "LUD/lud_diagonal")
+set(out "${WORKDIR}/workload.jsonl")
+execute_process(COMMAND ${BIN} --workload ${workload} --json "${out}"
+                RESULT_VARIABLE rc
+                OUTPUT_QUIET ERROR_VARIABLE err)
+if (NOT rc EQUAL 0)
+    message(FATAL_ERROR "workload run failed (rc=${rc}):\n${err}")
+endif ()
+file(STRINGS "${GOLDEN}" expected REGEX "\"workload\":\"${workload}\"")
+list(JOIN expected "\n" expected)
+file(READ "${out}" actual)
+if (NOT actual STREQUAL "${expected}\n")
+    message(FATAL_ERROR
+            "workload JSON differs from the golden rows of ${workload} "
+            "(${GOLDEN} vs ${out})")
+endif ()
