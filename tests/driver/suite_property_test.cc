@@ -9,6 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
+
 #include "driver/experiment_engine.hh"
 #include "workloads/workload.hh"
 
@@ -72,6 +78,56 @@ TEST_P(SuiteTest, EnergyAccountingIsConsistent)
     EXPECT_EQ(c.dice.energy.get(EnergyComponent::Lvc), 0.0);
     EXPECT_EQ(c.dice.energy.get(EnergyComponent::Cvt), 0.0);
     EXPECT_GT(c.dice.energy.get(EnergyComponent::Config), 0.0);
+}
+
+/** tests/data/energy_parts.tsv: (workload, arch) -> the 11 parts in pJ. */
+using EnergyParts = std::array<double, kNumEnergyComponents>;
+
+const std::map<std::string, EnergyParts> &
+referenceEnergyParts()
+{
+    static const std::map<std::string, EnergyParts> ref = [] {
+        std::map<std::string, EnergyParts> out;
+        std::ifstream in(VGIW_TEST_DATA_DIR "/energy_parts.tsv");
+        std::string line;
+        while (std::getline(in, line)) {
+            if (line.empty() || line[0] == '#')
+                continue;
+            std::istringstream row(line);
+            std::string workload, arch;
+            std::getline(row, workload, '\t');
+            std::getline(row, arch, '\t');
+            EnergyParts &parts = out[workload + "\t" + arch];
+            for (double &pj : parts)
+                row >> pj;
+        }
+        return out;
+    }();
+    return ref;
+}
+
+TEST_P(SuiteTest, EnergyPartsMatchReference)
+{
+    // The golden suite output pins only the core/die/system sums; this
+    // pins the split, so energy moved between components cannot hide.
+    // Every part is a multiple of 0.5 pJ, so %.1f text is exact.
+    const auto &ref = referenceEnergyParts();
+    ASSERT_EQ(ref.size(), 4 * workloadRegistry().size())
+        << "tests/data/energy_parts.tsv is missing rows";
+    const ArchComparison &c = comparisonFor(GetParam());
+    ASSERT_TRUE(c.goldenPassed) << c.goldenError;
+    for (const RunStats *rs : {&c.vgiw, &c.fermi, &c.sgmf, &c.dice}) {
+        auto it = ref.find(GetParam() + "\t" + rs->arch);
+        ASSERT_NE(it, ref.end()) << GetParam() << " " << rs->arch;
+        for (size_t i = 0; i < kNumEnergyComponents; ++i) {
+            const EnergyComponent comp = EnergyComponent(i);
+            char got[32];
+            std::snprintf(got, sizeof got, "%.1f", rs->energy.get(comp));
+            EXPECT_EQ(rs->energy.get(comp), it->second[i])
+                << GetParam() << " " << rs->arch << " "
+                << energyComponentName(comp) << ": got " << got;
+        }
+    }
 }
 
 TEST_P(SuiteTest, VgiwStructuralInvariants)
