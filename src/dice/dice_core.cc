@@ -241,7 +241,7 @@ DiceCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     MemorySystem ms(vgiwL1Geometry());
     BankMergeModel l1_banks_model(ms.l1().geometry().banks);
     BankMergeModel shared_banks_model(32);
-    const EnergyTable &e = cfg_.energy;
+    EnergyEvents &ev = rs.events;
     const int array_units = totalUnits(cfg_.arrayCounts);
     const int graph_load_cost = reconfigCycles(array_units);
     const int lane_width = cfg_.laneWidth;
@@ -279,8 +279,6 @@ DiceCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     uint64_t ii_stall_cycles = 0;
     uint64_t pred_waste_ops = 0;
     uint64_t active_lane_sum = 0;
-    uint64_t live_value_words = 0;
-    uint64_t shared_accesses = 0;
     uint64_t lane_groups = 0;
 
     for (int group_start = 0; group_start < num_threads;
@@ -318,8 +316,7 @@ DiceCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                     loaded[size_t(b)] = 1;
                     ++graph_loads;
                     config_cycles += uint64_t(graph_load_cost);
-                    rs.energy.add(EnergyComponent::Config,
-                                  e.configPerUnit * array_units);
+                    ev.configuredUnits += uint64_t(array_units);
                 } else {
                     ++graph_switches;
                     config_cycles += uint64_t(cfg_.switchCycles);
@@ -350,7 +347,7 @@ DiceCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                     if (acc.isShared) {
                         shared_banks_model.access((acc.addr / 4) % 32,
                                                   acc.addr / 4);
-                        ++shared_accesses;
+                        ++ev.sharedWords;
                         continue;
                     }
                     const MemAccessResult r =
@@ -363,8 +360,8 @@ DiceCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
 
                 // Live values move through the schedule's operand
                 // buffers (DICE has no LVC and no vector RF).
-                live_value_words += ck->liveInCount[size_t(b)] +
-                                    ck->liveOutCount[size_t(b)];
+                ev.operandBufferWords += ck->liveInCount[size_t(b)] +
+                                         ck->liveOutCount[size_t(b)];
                 cur.nextExec();
             }
 
@@ -388,21 +385,19 @@ DiceCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                 m_active[size_t(b)] += double(active);
             }
 
-            // --- Energy for this visit. -------------------------------
+            // --- Energy events for this visit. ------------------------
             // Predicated-off lanes still stream through the compute
             // schedule (the divergence waste the predication counter
             // quantifies); only active lanes issue memory and operand
             // traffic.
-            rs.energy.add(EnergyComponent::Datapath,
-                          double(alive) * (oc.intAlu * e.intAluOp +
-                                           oc.fpAlu * e.fpAluOp +
-                                           oc.scu * e.scuOp) +
-                              double(active) * oc.mem() * e.ldstIssue);
+            const uint64_t n_alive = uint64_t(alive);
+            ev.intOps += n_alive * oc.intAlu;
+            ev.fpOps += n_alive * oc.fpAlu;
+            ev.scuOps += n_alive * oc.scu;
+            ev.ldstIssues += uint64_t(active) * oc.mem();
             const PlacedBlock &pb = ck->placed[size_t(b)];
-            rs.energy.add(EnergyComponent::TokenFabric,
-                          double(alive) *
-                              (pb.edgesPerThread * e.tokenBufferRw +
-                               pb.edgeHopsPerThread * e.tokenHop));
+            ev.tokenRws += n_alive * uint64_t(pb.edgesPerThread);
+            ev.tokenHops += n_alive * uint64_t(pb.edgeHopsPerThread);
             rs.dynBlockExecs += uint64_t(active);
             rs.dynThreadOps += uint64_t(active) * uint64_t(oc.total());
 
@@ -417,17 +412,6 @@ DiceCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     rs.configCycles = config_cycles;
     rs.cycles = compute_cycles + config_cycles;
     rs.cycles = std::max(rs.cycles, ms.dramServiceCycles());
-
-    rs.energy.add(EnergyComponent::RegisterFile,
-                  double(live_value_words) * e.operandBufferWord);
-    rs.energy.add(EnergyComponent::Scratchpad,
-                  double(shared_accesses) * e.sharedAccessWord);
-    rs.energy.add(EnergyComponent::L1,
-                  ms.l1().stats().accesses() * e.l1AccessWord);
-    rs.energy.add(EnergyComponent::L2,
-                  ms.l2().stats().accesses() * e.l2AccessLine);
-    rs.energy.add(EnergyComponent::Dram,
-                  ms.dram().stats().accesses * e.dramAccessLine);
 
     rs.l1Stats = ms.l1().stats();
     rs.l2Stats = ms.l2().stats();
@@ -464,6 +448,7 @@ DiceCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
             jm->set(p + ".active_lanes", m_active[size_t(b)]);
         }
     }
+    rs.energy = priceEnergy(rs);
     return rs;
 }
 

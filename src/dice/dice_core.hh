@@ -54,7 +54,6 @@
 #include "driver/run_stats.hh"
 #include "interp/trace.hh"
 #include "ir/op_counts.hh"
-#include "power/energy_model.hh"
 
 namespace vgiw
 {
@@ -69,7 +68,6 @@ struct DiceConfig
      */
     GridConfig grid = GridConfig::makeTable1();
     CgrfTiming timing{};
-    EnergyTable energy{};
 
     /**
      * Physical units per kind of the statically scheduled array. DICE

@@ -84,9 +84,6 @@ class CoreModel
      * the result journal keys resumable jobs by. Watchdog budgets are
      * deliberately excluded: they bound a replay without changing its
      * result, and a resume (or a retry) may legitimately widen them.
-     * The EnergyTable is also excluded — it is not sweepable from the
-     * CLI; programmatic sweeps that vary it must disambiguate via the
-     * job's configLabel, which participates in the job key.
      */
     virtual std::string replayKey() const = 0;
 

@@ -19,6 +19,26 @@
 namespace vgiw
 {
 
+/**
+ * Energy events RunStats does not already count elsewhere. A core counts
+ * them during replay; priceEnergy() turns them into picojoules.
+ */
+struct EnergyEvents
+{
+    uint64_t intOps = 0;   ///< integer ALU firings
+    uint64_t fpOps = 0;    ///< FPU firings
+    uint64_t scuOps = 0;   ///< div/sqrt/transcendental firings
+    uint64_t ldstIssues = 0;
+    uint64_t tokenRws = 0;  ///< token-buffer write+read pairs
+    uint64_t tokenHops = 0;
+    uint64_t cvtWords = 0;
+    uint64_t configuredUnits = 0;  ///< units loaded with a configuration
+    uint64_t sharedWords = 0;      ///< scratchpad word accesses
+    uint64_t operandBufferWords = 0;  ///< DICE live-value words
+    /** L1 accesses are 128 B coalesced transactions (Fermi), not words. */
+    bool l1PerLine = false;
+};
+
 /** Result of running one kernel launch on one core model. */
 struct RunStats
 {
@@ -40,7 +60,8 @@ struct RunStats
     /** LVC word accesses (VGIW, Fig. 3). */
     uint64_t lvcAccesses = 0;
 
-    EnergyAccount energy;
+    EnergyEvents events;
+    EnergyAccount energy;  ///< priceEnergy(*this) with the default table
     CacheStats l1Stats;
     CacheStats l2Stats;
     CacheStats lvcStats;
@@ -55,6 +76,15 @@ struct RunStats
         return cycles ? double(configCycles) / double(cycles) : 0.0;
     }
 };
+
+/**
+ * Price @p rs's activity counts with @p table: events from rs.events,
+ * plus dynWarpInstrs (front end), rfAccesses, lvcAccesses and the
+ * L1/L2/DRAM counters. The only code that reads an EnergyTable entry, so
+ * stored results can be repriced with other energies without a replay.
+ */
+EnergyAccount priceEnergy(const RunStats &rs,
+                          const EnergyTable &table = EnergyTable{});
 
 } // namespace vgiw
 

@@ -7,8 +7,10 @@
  * cannot ship those synthesis results, so the table below encodes
  * per-event energies in picojoules drawn from the public literature the
  * paper builds on (GPUWattch's Fermi breakdown, Horowitz's energy-per-op
- * survey), scaled to a 40 nm-class process. Every value is a plain struct
- * field so a user with real synthesis numbers can override it.
+ * survey), scaled to a 40 nm-class process. Cores only count events;
+ * priceEnergy(stats, table) (driver/run_stats.hh) prices the counts, so a
+ * user with real synthesis numbers reprices stored results without a
+ * replay.
  *
  * Two modelling decisions mirror the paper's argument:
  *  - the von Neumann front end (fetch/decode/schedule) plus the vector

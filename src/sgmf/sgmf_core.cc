@@ -201,7 +201,6 @@ SgmfCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     vgiw_assert(ck, "SgmfCore::run needs an SGMF compile artifact");
 
     const Kernel &k = *traces.kernel;
-    const EnergyTable &e = cfg_.energy;
 
     RunStats rs;
     rs.arch = "sgmf";
@@ -230,7 +229,7 @@ SgmfCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     BankMergeModel shared_model(32);
     uint64_t injections = 0;
     uint64_t miss_latency = 0;
-    uint64_t shared_accesses = 0;
+    EnergyEvents &ev = rs.events;
     // Accumulated locally, published to rs only after the loop: the
     // watchdog polls rs.dynThreadOps and must keep seeing the replay
     // phase's value (0) exactly as before the loops were fused.
@@ -266,7 +265,7 @@ SgmfCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                 if (acc.isShared) {
                     shared_model.access((acc.addr / 4) % 32,
                                         acc.addr / 4);
-                    ++shared_accesses;
+                    ++ev.sharedWords;
                     continue;
                 }
                 const MemAccessResult r =
@@ -291,28 +290,18 @@ SgmfCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                 rs.configCycles;
     rs.cycles = std::max(rs.cycles, ms.dramServiceCycles());
 
-    // --- Energy. --------------------------------------------------------
+    // --- Energy events. -------------------------------------------------
     // Every mapped compute node fires per injection, taken path or not:
     // the control-divergence waste of the all-paths spatial mapping.
-    rs.energy.add(EnergyComponent::Datapath,
-                  double(injections) *
-                      (ck->opsInt * e.intAluOp + ck->opsFp * e.fpAluOp +
-                       ck->opsScu * e.scuOp) +
-                      double(ms.l1().stats().accesses()) * e.ldstIssue);
-    rs.energy.add(EnergyComponent::TokenFabric,
-                  double(injections) *
-                      (double(ck->edges) * e.tokenBufferRw +
-                       double(ck->hops) * e.tokenHop));
-    rs.energy.add(EnergyComponent::Config,
-                  e.configPerUnit * cfg_.grid.numUnits());
-    rs.energy.add(EnergyComponent::Scratchpad,
-                  double(shared_accesses) * e.sharedAccessWord);
-    rs.energy.add(EnergyComponent::L1,
-                  ms.l1().stats().accesses() * e.l1AccessWord);
-    rs.energy.add(EnergyComponent::L2,
-                  ms.l2().stats().accesses() * e.l2AccessLine);
-    rs.energy.add(EnergyComponent::Dram,
-                  ms.dram().stats().accesses * e.dramAccessLine);
+    // LDST issue is counted per global L1 access, so shared-memory ops
+    // pay none (the other cores count it per memory op).
+    ev.intOps = injections * ck->opsInt;
+    ev.fpOps = injections * ck->opsFp;
+    ev.scuOps = injections * ck->opsScu;
+    ev.ldstIssues = ms.l1().stats().accesses();
+    ev.tokenRws = injections * ck->edges;
+    ev.tokenHops = injections * ck->hops;
+    ev.configuredUnits = uint64_t(cfg_.grid.numUnits());
 
     rs.dynThreadOps = thread_ops;
 
@@ -338,6 +327,7 @@ SgmfCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
         jm->set("sgmf.replicas", double(replicas));
         jm->set("sgmf.injections", double(injections));
     }
+    rs.energy = priceEnergy(rs);
     return rs;
 }
 

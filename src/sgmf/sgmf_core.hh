@@ -35,7 +35,6 @@
 #include "driver/core_model.hh"
 #include "driver/run_stats.hh"
 #include "interp/trace.hh"
-#include "power/energy_model.hh"
 
 namespace vgiw
 {
@@ -45,7 +44,6 @@ struct SgmfConfig
 {
     GridConfig grid = GridConfig::makeTable1();
     CgrfTiming timing{};
-    EnergyTable energy{};
     /** Outstanding-miss window (same reservation buffers as VGIW). */
     uint32_t missWindow = 512;
     int maxReplicas = 8;

@@ -218,11 +218,12 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     const Kernel &k = *traces.kernel;
     const LaunchParams &launch = traces.launch;
     const int num_threads = launch.numThreads();
-    const EnergyTable &e = cfg_.energy;
 
     RunStats rs;
     rs.arch = "fermi";
     rs.kernelName = k.name;
+    EnergyEvents &ev = rs.events;
+    ev.l1PerLine = true;  // the coalescer issues whole 128 B lines
 
     const PostDominators &pd = ck->pd;
     MemorySystem ms(fermiL1Geometry());
@@ -266,7 +267,6 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                                        warps_per_cta);
 
     uint64_t clock = 0;
-    uint64_t shared_accesses = 0;
     uint64_t active_lane_slots = 0;  // Fig. 1b: occupied lanes per issue
     uint64_t issued_slots = 0;
     int rr = 0;  // round-robin pointer
@@ -417,11 +417,7 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
             // Register file: one access per warp register operand plus
             // the result write (Fig. 3's counting rule), pre-counted at
             // decode time.
-            const uint32_t rf = in.rfAccesses;
-            rs.rfAccesses += rf;
-            rs.energy.add(EnergyComponent::RegisterFile,
-                          rf * e.rfAccessWarp);
-            rs.energy.add(EnergyComponent::Frontend, e.frontendWarpInstr);
+            rs.rfAccesses += in.rfAccesses;
 
             uint64_t issue_cost = 1;
 
@@ -437,7 +433,7 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                         const MemAccess acc =
                             cursor[size_t(tid)].nextAccess();
                         ++bank[(acc.addr / 4) % 32];
-                        ++shared_accesses;
+                        ++ev.sharedWords;
                     }
                     const uint32_t passes =
                         *std::max_element(bank.begin(), bank.end());
@@ -446,8 +442,6 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                         warp.readyAt =
                             clock + issue_cost + cfg_.sharedLatency;
                     }
-                    rs.energy.add(EnergyComponent::Scratchpad,
-                                  double(active) * e.sharedAccessWord);
                 } else {
                     // Coalescer: merge the warp's accesses into 128 B
                     // transactions, issued in ascending line order. At
@@ -469,8 +463,6 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                         const MemAccessResult r =
                             ms.access(lines[i] * 128, is_store);
                         max_lat = std::max(max_lat, r.latency);
-                        rs.energy.add(EnergyComponent::L1,
-                                      e.l1AccessLine);
                     }
                     issue_cost = std::max<uint64_t>(1, uint64_t(num_lines));
                     if (!is_store)
@@ -478,22 +470,18 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                     // Stores retire through the write-through path
                     // without stalling the warp.
                 }
-                rs.energy.add(EnergyComponent::Datapath,
-                              double(active) * e.ldstIssue);
+                ev.ldstIssues += uint64_t(active);
             } else {
                 switch (in.resource) {
                   case ResourceClass::Scu:
                     issue_cost = uint64_t(cfg_.scuIssueCycles);
-                    rs.energy.add(EnergyComponent::Datapath,
-                                  double(active) * e.scuOp);
+                    ev.scuOps += uint64_t(active);
                     break;
                   case ResourceClass::FpAlu:
-                    rs.energy.add(EnergyComponent::Datapath,
-                                  double(active) * e.fpAluOp);
+                    ev.fpOps += uint64_t(active);
                     break;
                   default:
-                    rs.energy.add(EnergyComponent::Datapath,
-                                  double(active) * e.intAluOp);
+                    ev.intOps += uint64_t(active);
                     break;
                 }
                 // The scoreboard blocks this warp until the result can
@@ -510,12 +498,8 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
         // ---- Terminator: one branch instruction on the SM. -----------
         if (blk.term.kind == TermKind::Branch) {
             ++rs.dynWarpInstrs;
-            rs.energy.add(EnergyComponent::Frontend, e.frontendWarpInstr);
-            if (ck->branchCondRf[b]) {
+            if (ck->branchCondRf[b])
                 ++rs.rfAccesses;
-                rs.energy.add(EnergyComponent::RegisterFile,
-                              e.rfAccessWarp);
-            }
             clock += 1;
         }
 
@@ -557,16 +541,12 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     }
 
     rs.cycles = std::max(clock, ms.dramServiceCycles());
-    rs.energy.add(EnergyComponent::L2,
-                  ms.l2().stats().accesses() * e.l2AccessLine);
-    rs.energy.add(EnergyComponent::Dram,
-                  ms.dram().stats().accesses * e.dramAccessLine);
 
     rs.l1Stats = ms.l1().stats();
     rs.l2Stats = ms.l2().stats();
     rs.dramStats = ms.dram().stats();
     rs.extra.set("fermi.warps", double(total_warps));
-    rs.extra.set("fermi.shared_accesses", double(shared_accesses));
+    rs.extra.set("fermi.shared_accesses", double(ev.sharedWords));
     // SIMD lane occupancy: 1.0 means no divergence waste (Fig. 1b's
     // masked-off lanes push this below 1).
     rs.extra.set("fermi.lane_occupancy",
@@ -585,6 +565,7 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                              : 0.0);
         jm->set("fermi.warps", double(total_warps));
     }
+    rs.energy = priceEnergy(rs);
     return rs;
 }
 

@@ -26,7 +26,6 @@
 #include "interp/trace.hh"
 #include "ir/opcode.hh"
 #include "ir/post_dominators.hh"
-#include "power/energy_model.hh"
 
 namespace vgiw
 {
@@ -50,7 +49,6 @@ struct FermiConfig
      */
     uint32_t aluDependencyLatency = 20;
     uint32_t sharedLatency = 24;
-    EnergyTable energy{};
 
     /** Replay ceilings (cycle budget / wall-clock deadline). */
     WatchdogConfig watchdog{};

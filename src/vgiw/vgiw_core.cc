@@ -248,7 +248,7 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     LiveValueCache lvc(lvcGeometry(cfg_.lvcBytes), ms,
                        uint32_t(num_threads), cfg_.lvcHitLatency);
     const uint32_t l1_banks = ms.l1().geometry().banks;
-    const EnergyTable &e = cfg_.energy;
+    EnergyEvents &ev = rs.events;
     const int reconfig_cost = reconfigCycles(cfg_.grid.numUnits());
 
     // One forward-only decode cursor per thread; the BBS consumes each
@@ -292,7 +292,6 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
 
     const int tile = tileSizeFor(k, launch);
     uint64_t compute_cycles = 0;
-    uint64_t shared_accesses = 0;
     uint64_t vector_sum = 0;       // Fig. 1d: coalesced vector sizes
     uint64_t vectors_scheduled = 0;
 
@@ -358,8 +357,7 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
             if (b != configured) {
                 rs.configCycles += uint64_t(reconfig_cost);
                 ++rs.reconfigs;
-                rs.energy.add(EnergyComponent::Config,
-                              e.configPerUnit * cfg_.grid.numUnits());
+                ev.configuredUnits += uint64_t(cfg_.grid.numUnits());
                 configured = b;
             }
 
@@ -385,7 +383,7 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                     if (acc.isShared) {
                         shared_banks_model.access((acc.addr / 4) % 32,
                                                   acc.addr / 4);
-                        ++shared_accesses;
+                        ++ev.sharedWords;
                         continue;
                     }
                     if (cfg_.enableMemoryCoalescing) {
@@ -455,15 +453,14 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                 std::max({issue, bw, lat, shared_cyc}) +
                 uint64_t(pb.criticalPathCycles);
 
-            // --- Energy for this vector. ------------------------------
+            // --- Energy events for this vector. -----------------------
             const OpCounts &oc = ck->ops[b];
-            rs.energy.add(EnergyComponent::Datapath,
-                          v * (oc.intAlu * e.intAluOp +
-                               oc.fpAlu * e.fpAluOp + oc.scu * e.scuOp +
-                               oc.mem() * e.ldstIssue));
-            rs.energy.add(EnergyComponent::TokenFabric,
-                          v * (pb.edgesPerThread * e.tokenBufferRw +
-                               pb.edgeHopsPerThread * e.tokenHop));
+            ev.intOps += v * oc.intAlu;
+            ev.fpOps += v * oc.fpAlu;
+            ev.scuOps += v * oc.scu;
+            ev.ldstIssues += v * oc.mem();
+            ev.tokenRws += v * uint64_t(pb.edgesPerThread);
+            ev.tokenHops += v * uint64_t(pb.edgeHopsPerThread);
             rs.dynBlockExecs += v;
             rs.dynThreadOps += v * oc.total();
 
@@ -473,8 +470,7 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
             }
         }
 
-        rs.energy.add(EnergyComponent::Cvt,
-                      cvt.stats().accesses() * e.cvtAccessWord);
+        ev.cvtWords += cvt.stats().accesses();
     }
 
     // --- Totals. ---------------------------------------------------------
@@ -482,16 +478,6 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     rs.cycles = std::max(rs.cycles, ms.dramServiceCycles());
 
     rs.lvcAccesses = lvc.accesses();
-    rs.energy.add(EnergyComponent::Lvc, lvc.accesses() * e.lvcAccessWord);
-    rs.energy.add(EnergyComponent::Scratchpad,
-                  shared_accesses * e.sharedAccessWord);
-    rs.energy.add(EnergyComponent::L1,
-                  ms.l1().stats().accesses() * e.l1AccessWord);
-    rs.energy.add(EnergyComponent::L2,
-                  ms.l2().stats().accesses() * e.l2AccessLine);
-    rs.energy.add(EnergyComponent::Dram,
-                  ms.dram().stats().accesses * e.dramAccessLine);
-
     rs.l1Stats = ms.l1().stats();
     rs.l2Stats = ms.l2().stats();
     rs.lvcStats = lvc.stats();
@@ -525,6 +511,7 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
             }
         }
     }
+    rs.energy = priceEnergy(rs);
     return rs;
 }
 

@@ -35,7 +35,6 @@
 #include "driver/run_stats.hh"
 #include "interp/trace.hh"
 #include "ir/op_counts.hh"
-#include "power/energy_model.hh"
 
 namespace vgiw
 {
@@ -45,7 +44,6 @@ struct VgiwConfig
 {
     GridConfig grid = GridConfig::makeTable1();
     CgrfTiming timing{};
-    EnergyTable energy{};
 
     /** Total CVT bit capacity; tile = capacity / #blocks (Section 3.2). */
     uint32_t cvtCapacityBits = 64 * 1024;
