@@ -44,6 +44,8 @@ main()
     }
     ExperimentEngine engine;
     auto results = engine.run(jobs);
+    if (!allJobsOk(results))
+        return 1;
 
     std::printf("  %-28s %11s %11s %9s %12s\n", "kernel", "baseline",
                 "coalesced", "gain", "vs Fermi now");
@@ -60,7 +62,7 @@ main()
                     double(fermi.cycles) / double(coal.cycles));
         gains.push_back(gain);
     }
-    std::printf("%s\n", std::string(76, '-').c_str());
+    printRule();
     std::printf("  coalescing recovers %.2fx average cycles\n",
                 mean(gains));
     std::printf("\n  A mostly-negative result worth having: the LDST "

@@ -5,8 +5,13 @@
  * four equally sized branch arms; the fraction of threads leaving the
  * common path sweeps from 0% to 100%. SIMT pays for every taken arm
  * serially, SGMF maps all arms spatially, and VGIW coalesces each arm's
- * threads into one block vector.
+ * threads into one block vector. Exits 1 unless that shape holds: VGIW
+ * cycles within 1.15x (max/min) across the sweep and Fermi's 100%/0%
+ * cycle ratio at least 1.4.
  */
+
+#include <algorithm>
+#include <cstdint>
 
 #include "bench_util.hh"
 
@@ -123,9 +128,12 @@ main()
     }
     ExperimentEngine engine;
     auto results = engine.run(jobs);
+    if (!allJobsOk(results))
+        return 1;
 
     std::printf("  %10s %12s %12s %12s %14s\n", "divergent",
                 "VGIW cyc", "Fermi cyc", "SGMF cyc", "VGIW/Fermi");
+    uint64_t vgiw_min = UINT64_MAX, vgiw_max = 0;
     for (size_t p = 0; p < std::size(pcts); ++p) {
         const RunStats &v = results[3 * p].stats;
         const RunStats &f = results[3 * p + 1].stats;
@@ -135,9 +143,22 @@ main()
                     (unsigned long long)f.cycles,
                     (unsigned long long)(s.supported ? s.cycles : 0),
                     double(f.cycles) / double(v.cycles));
+        vgiw_min = std::min(vgiw_min, v.cycles);
+        vgiw_max = std::max(vgiw_max, v.cycles);
     }
     std::printf("\n  VGIW cycles should stay ~flat across the sweep "
                 "(coalescing), Fermi's\n  should grow with divergence "
                 "(serialised arms under masks).\n");
-    return 0;
+
+    const double vgiw_spread = double(vgiw_max) / double(vgiw_min);
+    const double fermi_growth =
+        double(results[3 * (std::size(pcts) - 1) + 1].stats.cycles) /
+        double(results[1].stats.cycles);
+    const bool flat = vgiw_spread <= 1.15;
+    const bool grows = fermi_growth >= 1.4;
+    std::printf("  VGIW max/min cycles %.2fx / band <= 1.15 %s\n",
+                vgiw_spread, flat ? "ok" : "OUT");
+    std::printf("  Fermi 100%%/0%% cycles %.2fx / band >= 1.4 %s\n",
+                fermi_growth, grows ? "ok" : "OUT");
+    return flat && grows ? 0 : 1;
 }

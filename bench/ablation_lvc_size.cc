@@ -34,6 +34,8 @@ main()
     }
     ExperimentEngine engine;
     auto results = engine.run(jobs);
+    if (!allJobsOk(results))
+        return 1;
 
     const size_t n_sizes = std::size(sizes);
     for (size_t k = 0; k < std::size(kernels); ++k) {

@@ -35,6 +35,8 @@ main()
     }
     ExperimentEngine engine;
     auto results = engine.run(jobs);
+    if (!allJobsOk(results))
+        return 1;
 
     std::vector<double> slowdowns;
     std::printf("  %-28s %12s %12s %9s\n", "kernel", "replicated",
@@ -49,7 +51,7 @@ main()
                     (unsigned long long)b.cycles, s);
         slowdowns.push_back(s);
     }
-    std::printf("%s\n", std::string(76, '-').c_str());
+    printRule();
     std::printf("  replication delivers %.2fx average throughput\n",
                 mean(slowdowns));
     return 0;

@@ -1,14 +1,13 @@
 /**
  * @file
- * Shared harness utilities for the per-figure bench binaries: run the
- * whole Table 2 suite through the three core models, and print
- * paper-style rows (one bar per kernel plus the average).
+ * Shared harness utilities for the bench binaries: a section header,
+ * the arithmetic mean, and the failure check every engine sweep runs
+ * before it reads a single RunStats.
  */
 
 #ifndef VGIW_BENCH_BENCH_UTIL_HH
 #define VGIW_BENCH_BENCH_UTIL_HH
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -18,33 +17,6 @@
 
 namespace vgiw::bench
 {
-
-/**
- * Run every Table 2 kernel on every architecture through
- * ExperimentEngine::compare. The sweep is sharded over the engine's
- * worker pool (hardware concurrency); results come back in registry
- * order and are bit-identical to a serial run.
- */
-inline std::vector<ArchComparison>
-runSuite(const SystemConfig &cfg = {})
-{
-    std::vector<std::string> names;
-    for (const auto &entry : workloadRegistry())
-        names.push_back(entry.name);
-    return ExperimentEngine{}.compare(names, cfg);
-}
-
-/** Geometric mean of positive values. */
-inline double
-geomean(const std::vector<double> &vals)
-{
-    if (vals.empty())
-        return 0.0;
-    double log_sum = 0.0;
-    for (double v : vals)
-        log_sum += std::log(v);
-    return std::exp(log_sum / double(vals.size()));
-}
 
 /** Arithmetic mean. */
 inline double
@@ -58,28 +30,39 @@ mean(const std::vector<double> &vals)
     return s / double(vals.size());
 }
 
-/** Print one paper-style bar row: name, value, ASCII bar. */
 inline void
-printBar(const std::string &name, double value, double full_scale,
-         const char *unit = "x")
+printRule(std::FILE *out = stdout)
 {
-    const int width = 40;
-    int n = int(value / full_scale * width + 0.5);
-    if (n > width)
-        n = width;
-    if (n < 0)
-        n = 0;
-    std::printf("  %-28s %7.2f%-2s |%.*s%*s|\n", name.c_str(), value,
-                unit, n,
-                "########################################", width - n, "");
+    std::fprintf(out, "%s\n", std::string(76, '-').c_str());
 }
 
 inline void
-printHeader(const char *title, const char *paper_ref)
+printHeader(const char *title, const char *paper_ref,
+            std::FILE *out = stdout)
 {
-    std::printf("\n%s\n", title);
-    std::printf("(reproduces %s)\n", paper_ref);
-    std::printf("%s\n", std::string(76, '-').c_str());
+    std::fprintf(out, "\n%s\n", title);
+    std::fprintf(out, "(reproduces %s)\n", paper_ref);
+    printRule(out);
+}
+
+/**
+ * Print `FAILED <workload>: <error>` for every job that did not run
+ * cleanly and return false if there was one. A failed job carries
+ * default RunStats (cycles 0), so a table built from it would divide
+ * by zero or average in a silent 0.
+ */
+inline bool
+allJobsOk(const std::vector<JobResult> &results)
+{
+    bool ok = true;
+    for (const JobResult &r : results) {
+        if (!r.ok()) {
+            std::printf("FAILED %s: %s\n", r.workload.c_str(),
+                        r.error.c_str());
+            ok = false;
+        }
+    }
+    return ok;
 }
 
 } // namespace vgiw::bench

@@ -270,7 +270,7 @@ TEST(ExperimentEngine, CompareLvcAccessesFarBelowRfAccesses)
 {
     // Fig. 3's headline: the LVC is accessed on average ~10x less often
     // than a GPGPU register file. Check the direction on a couple of
-    // kernels (the full sweep is bench/fig03).
+    // kernels (the full sweep is bench/paper_figures).
     auto cs = ExperimentEngine{}.compare({"BFS/Kernel", "GE/Fan2",
                                           "NN/euclid"});
     ASSERT_EQ(cs.size(), 3u);
