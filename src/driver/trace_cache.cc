@@ -148,11 +148,9 @@ TraceCache::get(const std::string &name,
         if (entry->result.traces) {
             // Sole owner at this point (the entry has not been shared
             // through the promise yet), so the const_cast is benign:
-            // stamp the content hash and build the shared access-intern
-            // pool once, before any replay can race with it.
+            // stamp the content hash before any replay can read it.
             auto *ts = const_cast<TraceSet *>(entry->result.traces.get());
             ts->contentHash = content_hash;
-            ts->buildAccessIntern();
         }
         if (store_ && entry->result.ok()) {
             std::string payload;
@@ -198,7 +196,6 @@ TraceCache::tryLoadFromStore(Entry &entry, uint64_t contentHash,
                                entry.workload.launch, *ts))
         return false;
     ts->contentHash = contentHash;
-    ts->buildAccessIntern();
 
     entry.result.traces = std::move(ts);
     entry.result.goldenPassed = true;

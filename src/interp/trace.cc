@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <string_view>
-#include <unordered_map>
 
-#include "common/logging.hh"
 
 namespace vgiw
 {
@@ -182,17 +179,6 @@ TraceSet::blockExecCount(int b) const
     return n;
 }
 
-uint64_t
-TraceSet::accessSpanLen(uint32_t tid) const
-{
-    // A thread's encoded access span runs to the next thread's offset
-    // (threads are laid out back to back) or to the end of the stream.
-    const uint64_t begin = idx(tid).accessOff;
-    const uint64_t end = tid + 1 < numThreads() ? idx(tid + 1).accessOff
-                                                : accessLen();
-    return end - begin;
-}
-
 // --- Persistence -----------------------------------------------------
 //
 // Wire layout (all little-endian, validated field by field):
@@ -274,64 +260,6 @@ TraceSet::deserialize(const uint8_t *data, size_t len,
     ts.mappedBytes = len;
     out = std::move(ts);
     return true;
-}
-
-// --- Access interning ------------------------------------------------
-
-void
-TraceSet::buildAccessIntern()
-{
-    if (intern_)
-        return;
-    const size_t n = numThreads();
-    auto in = std::make_shared<AccessIntern>();
-    in->offset.resize(n);
-    in->pool.reserve(totalAccesses_ < (uint64_t(1) << 28)
-                         ? size_t(totalAccesses_)
-                         : 0);
-
-    // Dedup key: the thread's *encoded* byte span plus its access
-    // count. Both delta chains start at zero per thread, so identical
-    // bytes decoded the same number of times yield identical accesses
-    // (the count matters: distinct varint groupings of the same bytes
-    // could otherwise collide).
-    struct Slot
-    {
-        uint64_t off;
-        uint32_t nacc;
-    };
-    std::unordered_map<std::string_view, Slot> seen;
-    seen.reserve(n);
-
-    for (size_t tid = 0; tid < n; ++tid) {
-        const ThreadIndex &ix = idx(tid);
-        const std::string_view span(
-            reinterpret_cast<const char *>(accessData()) + ix.accessOff,
-            size_t(accessSpanLen(uint32_t(tid))));
-        const auto it = seen.find(span);
-        if (it != seen.end() && it->second.nacc == ix.numAccesses) {
-            in->offset[tid] = it->second.off;
-            continue;
-        }
-        const uint64_t off = in->pool.size();
-        const uint8_t *p = accessData() + ix.accessOff;
-        uint32_t prev[2] = {0, 0};
-        for (uint32_t k = 0; k < ix.numAccesses; ++k) {
-            const uint64_t v = varint::decode(p);
-            MemAccess a;
-            a.isStore = v & 1;
-            a.isShared = (v >> 1) & 1;
-            uint32_t &pr = prev[a.isShared ? 1 : 0];
-            pr = uint32_t(int64_t(pr) + varint::unzigzag(v >> 2));
-            a.addr = pr;
-            in->pool.push_back(a);
-        }
-        in->offset[tid] = off;
-        ++in->uniqueStreams;
-        if (it == seen.end())
-            seen.emplace(span, Slot{off, ix.numAccesses});
-    }
-    intern_ = std::move(in);
 }
 
 } // namespace vgiw

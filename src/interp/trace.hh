@@ -37,21 +37,12 @@
  *    (both 0 initially) so strided global streams are not disturbed by
  *    interleaved scratchpad traffic.
  *
- * Two orthogonal extensions serve the sweep hot path:
- *
- *  - External storage: a TraceSet can borrow its three arrays (thread
- *    index, exec bytes, access bytes) from a caller-owned backing — an
- *    mmap'd artifact-store blob — instead of owning vectors. Warm
- *    sweeps decode straight out of the mapping; nothing is copied or
- *    rematerialised. serializeInto()/deserialize() define the layout.
- *
- *  - Access interning: buildAccessIntern() decodes every thread's
- *    access stream once into a shared pool, deduplicating threads
- *    whose *encoded* streams are byte-identical (the delta chains
- *    start at zero per thread, so equal bytes imply equal decoded
- *    streams). Replays across all config points of a workload then
- *    read accesses from the pool instead of re-running the varint
- *    decoder per job — the PR 6 headroom item.
+ * External storage: a TraceSet can borrow its three arrays (thread
+ * index, exec bytes, access bytes) from a caller-owned backing — an
+ * mmap'd artifact-store blob — instead of owning vectors. Warm sweeps
+ * decode straight out of the mapping; nothing is copied or
+ * rematerialised. serializeInto()/deserialize() define the layout.
+ * Owned or borrowed, every cursor decodes the same bytes the same way.
  */
 
 #ifndef VGIW_INTERP_TRACE_HH
@@ -62,6 +53,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/varint.hh"
 #include "ir/kernel.hh"
 
@@ -99,11 +91,7 @@ struct ThreadTrace
  * exposed through block()/succ()/numAccesses(), its accesses are pulled
  * with nextAccess(), and nextExec() advances to the next execution
  * (skipping any accesses the caller did not consume, so the delta
- * chains stay in sync). Cheap to copy; ~100 bytes of state.
- *
- * When the owning TraceSet has an access intern table, accesses are
- * served from the pre-decoded pool (one pointer bump) instead of the
- * varint decoder; the observable sequence is identical by construction.
+ * chains stay in sync). Cheap to copy: 112 bytes of state on LP64.
  */
 class ThreadCursor
 {
@@ -122,13 +110,14 @@ class ThreadCursor
     /** Accesses the current execution issues. */
     uint32_t numAccesses() const { return cur_.nacc; }
 
-    /** Decode the next access of the current execution. */
+    /** Decode the next access of the current execution; reading past
+     * its numAccesses() panics instead of decoding the next one's. */
     MemAccess
     nextAccess()
     {
+        vgiw_assert(accLeft_, "trace over-read: block ", cur_.block,
+                    " has no access left");
         --accLeft_;
-        if (pool_)
-            return pool_[poolPos_++];
         const uint64_t v = varint::decode(ap_);
         MemAccess a;
         a.isStore = v & 1;
@@ -143,13 +132,8 @@ class ThreadCursor
     void
     nextExec()
     {
-        if (pool_) {
-            poolPos_ += accLeft_;  // skip unconsumed accesses in O(1)
-            accLeft_ = 0;
-        } else {
-            while (accLeft_)
-                nextAccess();
-        }
+        while (accLeft_)
+            nextAccess();
         if (execsLeft_) {
             --execsLeft_;
             decodeExec();
@@ -169,8 +153,8 @@ class ThreadCursor
     };
 
     ThreadCursor(const uint8_t *exec, const uint8_t *acc,
-                 uint32_t num_execs, const MemAccess *pool = nullptr)
-        : ep_(exec), ap_(acc), pool_(pool), execsLeft_(num_execs)
+                 uint32_t num_execs)
+        : ep_(exec), ap_(acc), execsLeft_(num_execs)
     {
         if (execsLeft_) {
             --execsLeft_;
@@ -208,8 +192,6 @@ class ThreadCursor
 
     const uint8_t *ep_ = nullptr;  ///< exec stream read position
     const uint8_t *ap_ = nullptr;  ///< access stream read position
-    const MemAccess *pool_ = nullptr;  ///< interned accesses, or null
-    uint64_t poolPos_ = 0;         ///< next access within pool_
     uint32_t execsLeft_ = 0;       ///< execs not yet decoded
     bool hasCur_ = false;
     Tup cur_;
@@ -269,11 +251,8 @@ class TraceSet
     thread(uint32_t tid) const
     {
         const ThreadIndex &ix = idx(tid);
-        const AccessIntern *in = intern_.get();
         return ThreadCursor(execData() + ix.execOff,
-                            accessData() + ix.accessOff, ix.numExecs,
-                            in ? in->pool.data() + in->offset[tid]
-                               : nullptr);
+                            accessData() + ix.accessOff, ix.numExecs);
     }
 
     uint32_t numExecs(uint32_t tid) const { return idx(tid).numExecs; }
@@ -333,30 +312,10 @@ class TraceSet
                             const Kernel *kernel,
                             const LaunchParams &launch, TraceSet &out);
 
-    // --- Access interning --------------------------------------------
-
-    /**
-     * Decode every thread's access stream once into a shared pool,
-     * deduplicating byte-identical encoded streams, so subsequent
-     * cursors serve accesses without varint decoding. Idempotent; call
-     * before the TraceSet is shared across threads (the trace cache
-     * does, before publishing its entry). Trades one materialised copy
-     * per workload for per-job decode work — shared across every
-     * config point of the sweep.
-     */
-    void buildAccessIntern();
-
-    bool hasAccessIntern() const { return intern_ != nullptr; }
-    /** Distinct encoded access streams (== threads when none collide). */
-    uint64_t internUniqueStreams() const
-    {
-        return intern_ ? intern_->uniqueStreams : 0;
-    }
-    /** Bytes of decoded MemAccess pool the intern table holds. */
-    uint64_t internPoolBytes() const
-    {
-        return intern_ ? intern_->pool.size() * sizeof(MemAccess) : 0;
-    }
+    /** Does nothing: cursors always decode the compressed streams.
+     * Kept only because the perfbench ledger (perfbench/ledger.cc),
+     * which this library does not own, still calls it. */
+    void buildAccessIntern() {}
 
   private:
     friend class TraceWriter;
@@ -370,14 +329,6 @@ class TraceSet
     };
     static_assert(sizeof(ThreadIndex) == 24,
                   "on-disk thread index layout is pinned");
-
-    /** Decoded-access pool shared by all cursors of this TraceSet. */
-    struct AccessIntern
-    {
-        std::vector<MemAccess> pool;
-        std::vector<uint64_t> offset;  ///< per thread, index into pool
-        uint64_t uniqueStreams = 0;
-    };
 
     const uint8_t *
     execData() const
@@ -404,8 +355,6 @@ class TraceSet
     {
         return extIndex_ ? extIndex_[tid] : index_[tid];
     }
-    /** Encoded byte span of thread @p tid's access stream. */
-    uint64_t accessSpanLen(uint32_t tid) const;
 
     // Owned storage (TraceWriter::finish) ...
     std::vector<uint8_t> execBytes_;
@@ -419,8 +368,6 @@ class TraceSet
     uint64_t extExecLen_ = 0;
     uint64_t extAccessLen_ = 0;
     std::shared_ptr<const void> backing_;
-
-    std::shared_ptr<const AccessIntern> intern_;
 
     uint64_t totalExecs_ = 0;
     uint64_t totalAccesses_ = 0;

@@ -448,12 +448,9 @@ TEST(TraceSetWire, SerializeDeserializeRoundTripsDecodedStreams)
                                       traced.traces->launch, restored));
     EXPECT_TRUE(restored.storeBacked);
     EXPECT_EQ(restored.mappedBytes, wire.len);
-    // The original carries an access-intern pool (the cache always
-    // builds one); the restored copy does not — equal decoded streams
-    // here also prove the interned fast path is observation-equivalent
-    // to the varint decoder.
-    EXPECT_TRUE(traced.traces->hasAccessIntern());
-    EXPECT_FALSE(restored.hasAccessIntern());
+    // The original owns its streams and the restored copy borrows them
+    // from the wire buffer; both decode to the same traces.
+    EXPECT_FALSE(traced.traces->storeBacked);
     expectSameDecodedTraces(*traced.traces, restored);
 }
 
@@ -531,7 +528,6 @@ TEST(ArtifactStoreTraceCache, WarmLoadSkipsFunctionalExecution)
     EXPECT_TRUE(second.traces->storeBacked);
     EXPECT_GT(second.traces->mappedBytes, 0u);
     EXPECT_EQ(second.traces->contentHash, first.traces->contentHash);
-    EXPECT_TRUE(second.traces->hasAccessIntern());
     expectSameDecodedTraces(*first.traces, *second.traces);
     EXPECT_EQ(store2.hits(), 1u);
 }

@@ -7,7 +7,8 @@
  * the shapes the run code exists for (tight loops) actually compress,
  * that the exec-only blockExecCount walk matches a full decode, and that
  * the online TraceWriter emits exactly the bytes of the offline greedy
- * encoder it replaced, kept here as the oracle.
+ * encoder it replaced, kept here as the oracle, and that a cursor never
+ * reads one execution's accesses as another's.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/sim_error.hh"
 #include "interp/trace.hh"
 
 namespace vgiw
@@ -242,6 +244,29 @@ TEST(TraceCodec, CursorSkipsUnconsumedAccesses)
         }
     }
     EXPECT_EQ(i, t.execs.size());
+}
+
+TEST(TraceCodec, ExtraAccessReadPanics)
+{
+    // An over-read would otherwise decode the next execution's access,
+    // or, for the last thread, bytes past the end of the stream.
+    std::mt19937_64 rng(5);
+    ThreadTrace t;
+    addExec(t, rng, 0, 1, 2);
+    addExec(t, rng, 1, -1, 1);
+    const std::vector<ThreadTrace> threads{t};
+    const TraceSet ts =
+        TraceSet::fromThreads(nullptr, LaunchParams{}, threads);
+
+    PanicCaptureScope capture;
+    ThreadCursor c = ts.thread(0);
+    EXPECT_NO_THROW(c.nextAccess());
+    EXPECT_NO_THROW(c.nextAccess());
+    EXPECT_THROW(c.nextAccess(), SimPanic);
+    c.nextExec();
+    EXPECT_EQ(c.block(), 1);
+    EXPECT_NO_THROW(c.nextAccess());
+    EXPECT_THROW(c.nextAccess(), SimPanic);
 }
 
 TEST(TraceCodec, BlockExecCountMatchesFullDecode)
