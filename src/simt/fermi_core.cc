@@ -258,7 +258,8 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
         warp.done = warp.stack.done();
     }
 
-    // CTA residency window [cta_lo, cta_hi).
+    // CTA residency: CTAs [0, cta_hi) have been admitted, and each
+    // completing CTA admits the next one.
     int resident_ctas = std::min(
         {launch.numCtas, cfg_.maxResidentCtas,
          std::max(1, cfg_.maxResidentWarps / warps_per_cta)});
@@ -269,7 +270,6 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     uint64_t clock = 0;
     uint64_t active_lane_slots = 0;  // Fig. 1b: occupied lanes per issue
     uint64_t issued_slots = 0;
-    int rr = 0;  // round-robin pointer
 
     // Observability counters (deterministic scheduling statistics):
     // SIMT-stack pushes/pops across advance() — the divergence and
@@ -281,16 +281,24 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     uint64_t m_scans = 0;
     uint64_t m_scan_steps = 0;
 
-    // Scheduler candidate list: warp IDs not yet done, ascending. The
-    // per-issue pick scan walks this instead of all warps — completed
-    // warps can never be selected again, and without pruning them the
-    // scan is O(total warps) per issued instruction (quadratic end-game
-    // on large launches, the dominant cost of big SIMT replays).
-    std::vector<int> alive;
-    alive.reserve(size_t(total_warps));
-    for (int w = 0; w < total_warps; ++w)
-        if (!warps[w].done)
-            alive.push_back(w);
+    // Scheduler candidates: the live warps of resident CTAs, ascending
+    // by ID. Residency is a prefix of CTA (hence warp) IDs, so an
+    // admitted CTA's warps append at the end and a completed warp is
+    // erased where it was picked: the list stays sorted with no search,
+    // and the pick scan is bounded by the resident window (<=
+    // maxResidentWarps), not the launch size.
+    std::vector<int> resident;
+    resident.reserve(size_t(resident_ctas * warps_per_cta));
+    auto admit_cta = [&](int cta) {
+        for (int w = cta * warps_per_cta; w < (cta + 1) * warps_per_cta; ++w)
+            resident.push_back(w);
+    };
+    for (int cta = 0; cta < cta_hi; ++cta)
+        admit_cta(cta);
+    // Index in resident of the next round-robin candidate: the first
+    // warp after the last pick in warp-ID order (past the end wraps to
+    // the smallest ID).
+    size_t next_idx = 0;
 
     // Barrier release: when every live warp of a CTA is waiting. A
     // CTA's warps occupy the contiguous ID range [cta*warps_per_cta,
@@ -316,13 +324,14 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
         }
     };
 
-    auto on_warp_done = [&](int w) {
-        Warp &warp = warps[w];
+    auto on_warp_done = [&](size_t idx) {
+        Warp &warp = warps[resident[idx]];
         warp.done = true;
-        alive.erase(std::lower_bound(alive.begin(), alive.end(), w));
+        resident.erase(resident.begin() + long(idx));
+        next_idx = idx;  // its successor moved into the erased slot
         if (--live_warps_in_cta[warp.cta] == 0) {
             if (cta_hi < launch.numCtas)
-                ++cta_hi;
+                admit_cta(cta_hi++);
         } else {
             try_release_barrier(warp.cta);  // it may have been the straggler
         }
@@ -334,52 +343,40 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     if (cfg_.watchdog.enabled())
         wd.emplace(cfg_.watchdog, "fermi replay of '" + k.name + "'");
 
-    while (!alive.empty()) {
+    while (!resident.empty()) {
         if (wd)
             wd->poll(clock, rs.dynBlockExecs, rs.dynThreadOps);
         // Pick the next ready, resident warp: the first candidate in
-        // circular warp-ID order starting at rr — the same round-robin
-        // greedy policy as scanning every warp. Residency is a prefix of
-        // CTA (hence warp) IDs, so the scan is bounded by the resident
-        // window (<= maxResidentWarps), not the launch size; the
-        // earliest-wakeup fallback folds into the same pass.
-        const int res_limit = cta_hi * warps_per_cta;
-        const size_t upper = size_t(
-            std::lower_bound(alive.begin(), alive.end(), res_limit) -
-            alive.begin());
-        int pick = -1;
+        // circular warp-ID order from next_idx — the same round-robin
+        // greedy policy as scanning every warp. The earliest-wakeup
+        // fallback folds into the same pass.
+        const size_t n = resident.size();
+        const size_t start = next_idx < n ? next_idx : 0;
+        size_t pick_idx = n;
         uint64_t next = kNever;
         if (jm)
             ++m_scans;
-        if (upper > 0) {
-            size_t start = size_t(
-                std::lower_bound(alive.begin(), alive.begin() + long(upper),
-                                 rr) -
-                alive.begin());
-            if (start == upper)
-                start = 0;  // rr past the window: wrap to the smallest ID
-            for (size_t i = 0; i < upper; ++i) {
-                const size_t j =
-                    start + i < upper ? start + i : start + i - upper;
-                if (jm)
-                    ++m_scan_steps;
-                const Warp &warp = warps[alive[j]];
-                if (warp.atBarrier)
-                    continue;
-                if (warp.readyAt <= clock) {
-                    pick = alive[j];
-                    break;
-                }
-                next = std::min(next, warp.readyAt);
+        for (size_t i = 0; i < n; ++i) {
+            const size_t j = start + i < n ? start + i : start + i - n;
+            if (jm)
+                ++m_scan_steps;
+            const Warp &warp = warps[resident[j]];
+            if (warp.atBarrier)
+                continue;
+            if (warp.readyAt <= clock) {
+                pick_idx = j;
+                break;
             }
+            next = std::min(next, warp.readyAt);
         }
-        if (pick < 0) {
+        if (pick_idx == n) {
             vgiw_assert(next != kNever, "kernel '", k.name,
                         "': SM deadlock (barrier without release?)");
             clock = next;
             continue;
         }
-        rr = (pick + 1) % total_warps;
+        const int pick = resident[pick_idx];
+        next_idx = pick_idx + 1;
 
         Warp &warp = warps[pick];
         const int b = warp.stack.currentBlock();
@@ -533,7 +530,7 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
         warp.readyAt = std::max(warp.readyAt, clock);
 
         if (warp.stack.done()) {
-            on_warp_done(pick);
+            on_warp_done(pick_idx);
         } else if (blk.term.barrier) {
             warp.atBarrier = true;
             try_release_barrier(warp.cta);
