@@ -190,8 +190,9 @@ class MetricSinkScope
  * Ownership/threading contract: reset() is called once before the
  * worker pool starts; after that, slot i is written only by the
  * worker running job i (and, before the job is dispatched, by the
- * trace pre-pass worker that fetches its traces), and readers
- * (exporters, tests) run after ExperimentEngine::run returns. The collector itself takes no locks.
+ * pool worker that fetches its traces, ordered before the dispatch
+ * by the engine's mutex), and readers (exporters, tests) run after
+ * ExperimentEngine::run returns. The collector itself takes no locks.
  */
 class MetricsCollector
 {

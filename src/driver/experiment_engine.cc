@@ -1,9 +1,8 @@
 #include "driver/experiment_engine.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <barrier>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <mutex>
 #include <thread>
@@ -47,6 +46,14 @@ admissionError(const ExperimentJob &job)
     return {};
 }
 
+/** The one dispatch order: job @p a goes before job @p b when its
+ * @p cost is higher, ties in submission (index) order. */
+bool
+dispatchesBefore(size_t a, size_t b, const std::vector<uint64_t> &cost)
+{
+    return cost[a] != cost[b] ? cost[a] > cost[b] : a < b;
+}
+
 } // namespace
 
 std::vector<size_t>
@@ -54,8 +61,9 @@ longestFirst(const std::vector<size_t> &pending,
              const std::vector<uint64_t> &cost)
 {
     std::vector<size_t> order = pending;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t b) { return cost[a] > cost[b]; });
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return dispatchesBefore(a, b, cost);
+    });
     return order;
 }
 
@@ -74,8 +82,9 @@ ExperimentEngine::run(const std::vector<ExperimentJob> &jobs)
             runPool(jobs, pending, workers, deliver);
             return;
         }
-        // One worker keeps submission order and no pre-pass, so
-        // single-threaded sweeps stay trivially debuggable.
+        // One worker keeps submission order and fetches no traces
+        // ahead of their jobs, so single-threaded sweeps stay
+        // trivially debuggable.
         for (size_t i : pending) {
             // Graceful drain: stop dequeueing; a job already past
             // this check runs to completion (or to its watchdog).
@@ -93,12 +102,13 @@ ExperimentEngine::runPool(const std::vector<ExperimentJob> &jobs,
 {
     using Clock = std::chrono::steady_clock;
 
-    // Plan the pre-pass. Jobs sharing a workload name share its traces
-    // (the nameIsUnique promise), and the one that fetches them is the
-    // group's first admitted job in submission order — which is also
-    // the group's first to be dispatched, because the stable
-    // longest-first sort keeps equal-cost jobs in submission order.
-    // Jobs that fail admission never trace, as in runJob.
+    // Plan the fetches. Jobs sharing a workload name share its traces
+    // (the nameIsUnique promise), and the one that fetches them, its
+    // payer, is the group's first admitted job in submission order —
+    // which is also the group's first admitted job to be dispatched,
+    // because the whole group becomes ready at once with one cost and
+    // dispatchesBefore keeps equal costs in submission order. Jobs
+    // that fail admission never trace, as in runJob.
     constexpr size_t kNone = ~size_t{0};
     std::vector<size_t> byName = pending;
     std::stable_sort(byName.begin(), byName.end(), [&](size_t a, size_t b) {
@@ -124,6 +134,11 @@ ExperimentEngine::runPool(const std::vector<ExperimentJob> &jobs,
     }
     std::sort(fetches.begin(), fetches.end());
 
+    // cost and prepaid of a payer are written by the worker that
+    // fetches its traces, outside the lock, and read by whichever
+    // worker dispatches its group; the mutex handoff that publishes
+    // the group as ready orders the two, as it does for the job's
+    // metrics sink.
     std::vector<uint64_t> cost(jobs.size(), 0);
     std::vector<Clock::duration> prepaid(jobs.size());
     auto fetch = [&](size_t i) {
@@ -145,27 +160,59 @@ ExperimentEngine::runPool(const std::vector<ExperimentJob> &jobs,
         prepaid[i] = Clock::now() - t0;
     };
 
-    std::vector<size_t> order;
-    std::barrier phase(std::ptrdiff_t(workers), [&]() noexcept {
-        for (size_t i : pending)
-            cost[i] = payer[i] == kNone ? 0 : cost[payer[i]];
-        order = longestFirst(pending, cost);
-    });
-    std::atomic<size_t> nextFetch{0};
-    std::atomic<size_t> next{0};
+    // The ready set is a max-heap under the dispatch order. Jobs with
+    // no payer failed admission: they trace nothing, cost 0 and are
+    // ready at once. The rest join when their payer's fetch returns.
+    auto heapLess = [&](size_t a, size_t b) {
+        return dispatchesBefore(b, a, cost);
+    };
+    std::vector<size_t> ready;
+    ready.reserve(pending.size());
+    for (size_t i : pending)
+        if (payer[i] == kNone)
+            ready.push_back(i);
+    std::make_heap(ready.begin(), ready.end(), heapLess);
+
+    std::mutex mu;
+    std::condition_variable fetched;
+    size_t nextFetch = 0;  // guarded by mu, as are inFlight and ready
+    size_t inFlight = 0;
     auto work = [&]() {
-        for (size_t n; (n = nextFetch.fetch_add(1)) < fetches.size();) {
-            if (stopRequested())
+        std::unique_lock<std::mutex> lock(mu);
+        // Graceful drain: a stop request ends fetching and dispatch
+        // alike. A worker only waits while a fetch is in flight, and
+        // every fetch wakes all waiters when it returns, so none stays
+        // blocked once the fetches run out.
+        while (!stopRequested()) {
+            if (nextFetch < fetches.size()) {
+                const size_t f = fetches[nextFetch++];
+                ++inFlight;
+                lock.unlock();
+                fetch(f);
+                lock.lock();
+                --inFlight;
+                for (size_t i : pending) {
+                    if (payer[i] != f)
+                        continue;
+                    cost[i] = cost[f];
+                    ready.push_back(i);
+                    std::push_heap(ready.begin(), ready.end(), heapLess);
+                }
+                fetched.notify_all();
+            } else if (!ready.empty()) {
+                std::pop_heap(ready.begin(), ready.end(), heapLess);
+                const size_t i = ready.back();
+                ready.pop_back();
+                lock.unlock();
+                deliver(i, execute(jobs[i], i, prepaid[i]));
+                lock.lock();
+            } else if (inFlight > 0) {
+                fetched.wait(lock, [&] {
+                    return !ready.empty() || inFlight == 0;
+                });
+            } else {
                 break;
-            fetch(fetches[n]);
-        }
-        phase.arrive_and_wait();
-        for (size_t n; (n = next.fetch_add(1)) < order.size();) {
-            // Graceful drain, as in the one-worker loop.
-            if (stopRequested())
-                break;
-            const size_t i = order[n];
-            deliver(i, execute(jobs[i], i, prepaid[i]));
+            }
         }
     };
     std::vector<std::jthread> pool;
@@ -320,7 +367,7 @@ ExperimentEngine::runJobWithRetry(const ExperimentJob &job, size_t index,
             // Escalate the watchdog budgets of every core in lockstep
             // (the job's arch picks the one that matters); runJob
             // re-anchors the deadline at re-entry, so a retry gets a
-            // fresh wall-clock budget, with no pre-pass time charged.
+            // fresh wall-clock budget, with no fetch time charged.
             j.config.vgiw.watchdog =
                 rp.escalate(job.config.vgiw.watchdog, attempt);
             j.config.fermi.watchdog =
@@ -464,10 +511,10 @@ ExperimentEngine::runJob(const ExperimentJob &job, size_t index,
         // Per-job config copy: the wall-clock deadline (if any) is
         // anchored at job entry, so time spent tracing, compiling or
         // stalled counts against it — not just the replay loop. When
-        // the trace pre-pass fetched this job's traces on its behalf
-        // (@p prepaid), the anchor moves back by that long, so the job
-        // pays for the functional execution exactly as it would at
-        // --jobs 1.
+        // a pool worker fetched this job's traces on its behalf
+        // before dispatch (@p prepaid), the anchor moves back by that
+        // long, so the job pays for the functional execution exactly
+        // as it would at --jobs 1.
         SystemConfig cfg = job.config;
         cfg.anchorWatchdogs(std::chrono::steady_clock::now() - prepaid);
         auto model = makeCoreModel(job.arch, cfg);

@@ -5,16 +5,17 @@
  * the ablation binaries and vgiw_run in both its modes run on it.
  *
  * A sweep is a list of (workload × config × architecture) jobs. The
- * engine shards the list over a pool of std::jthread workers pulling
- * from an atomic queue; each job resolves its traces through a shared
- * TraceCache — so every workload is functionally executed and
- * golden-checked exactly once per sweep, not once per config point —
- * and replays them on the requested core model. Replay is const on a
+ * engine shards the list over a pool of std::jthread workers taking
+ * jobs from one mutex-guarded queue; each job resolves its traces
+ * through a shared TraceCache — so every workload is functionally
+ * executed and golden-checked exactly once per sweep, not once per
+ * config point — and replays them on the requested core model. Replay is const on a
  * shared immutable TraceSet, so concurrent replays of the same traces
- * are safe. With more than one worker the pool first fetches every
- * workload's traces, then dispatches the jobs longest-first by the
- * size of those traces (see longestFirst), so the biggest replays do
- * not start last.
+ * are safe. With more than one worker the pool fetches each
+ * workload's traces once and dispatches a job as soon as its
+ * workload's fetch returns, longest-first by the size of those traces
+ * (see longestFirst), so the biggest replays do not start last
+ * and no replay waits for an unrelated workload's trace.
  *
  * Determinism: results are written into a slot per job, so the output
  * vector preserves submission order regardless of worker count, and the
@@ -295,6 +296,8 @@ struct EngineOptions
  * The dispatch order of @p pending (job indices): descending
  * @p cost[i], ties kept in submission order. Jobs whose workload
  * failed to trace carry cost 0 and so go last; they fail fast anyway.
+ * A pool dispatches its ready jobs by this rule, so this is the order
+ * it runs them in once every one is ready.
  */
 std::vector<size_t> longestFirst(const std::vector<size_t> &pending,
                                  const std::vector<uint64_t> &cost);
@@ -405,9 +408,9 @@ class ExperimentEngine
 
     /** One job, start to terminal result: runJobWithRetry plus the
      * metrics serialisation. Pure of sweep bookkeeping, so a shard
-     * worker runs exactly this. @p prepaid is the time the trace
-     * pre-pass spent fetching this job's traces on its behalf; the
-     * first attempt's wall-clock deadline is charged for it. */
+     * worker runs exactly this. @p prepaid is the time a pool worker
+     * spent fetching this job's traces on its behalf before dispatch;
+     * the first attempt's wall-clock deadline is charged for it. */
     JobResult execute(const ExperimentJob &job, size_t index,
                       std::chrono::steady_clock::duration prepaid = {});
 
@@ -417,8 +420,10 @@ class ExperimentEngine
      * attempt, quarantine on exhaustion, drain-aware. */
     JobResult runJobWithRetry(const ExperimentJob &job, size_t index,
                               std::chrono::steady_clock::duration prepaid);
-    /** The multi-worker executor of run(): trace pre-pass, then
-     * longest-first dispatch of @p pending. */
+    /** The multi-worker executor of run(): each worker takes the
+     * next workload fetch while one is left, else the first ready job
+     * of @p pending in longestFirst order, else waits for a fetch to
+     * return. */
     void runPool(const std::vector<ExperimentJob> &jobs,
                  const std::vector<size_t> &pending, unsigned workers,
                  const Deliver &deliver);

@@ -4,9 +4,10 @@
  * serial one (same traces, same replays, deterministic result order), a
  * golden-failing workload must be skipped rather than abort the sweep,
  * and the JSON-lines emission must produce one well-formed object per
- * result. The multi-worker trace pre-pass must contain every failure a
- * functional execution can raise, charge its time to the job it traced
- * for, honour a stop request, and dispatch jobs longest-first.
+ * result. The multi-worker trace fetches must contain every failure a
+ * functional execution can raise, charge their time to the job they
+ * traced for, honour a stop request, and dispatch jobs longest-first,
+ * each as soon as its own workload is traced.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <future>
 #include <stdexcept>
 #include <thread>
 
@@ -624,6 +626,142 @@ TEST(ExperimentEngine, PrepassTraceSpanLandsOnFirstDispatchedJob)
         }
         EXPECT_EQ(prepass, i % 2 == 0 ? 1u : 0u) << i;
         EXPECT_EQ(nested, 1u) << i;
+    }
+}
+
+/**
+ * A make() of NN/euclid that first blocks until @p gate is released or
+ * 10 s pass, and records in @p releasedInTime which came first.
+ */
+std::function<WorkloadInstance()>
+gatedMake(std::shared_future<void> gate, std::atomic<bool> &releasedInTime)
+{
+    return [gate, &releasedInTime]() {
+        releasedInTime = gate.wait_for(std::chrono::seconds(10)) ==
+                         std::future_status::ready;
+        return makeWorkload("NN/euclid");
+    };
+}
+
+/**
+ * Two custom workloads, A (jobs 0, 1) and B (jobs 2, 3), each NN/euclid
+ * on vgiw and fermi; B's make() is gatedMake(@p gate).
+ */
+std::vector<ExperimentJob>
+gatedPair(std::shared_future<void> gate, std::atomic<bool> &releasedInTime)
+{
+    std::vector<ExperimentJob> jobs;
+    for (const char *w : {"SYNTH/a", "SYNTH/b"}) {
+        for (const char *arch : {"vgiw", "fermi"}) {
+            ExperimentJob j;
+            j.workload = w;
+            j.arch = arch;
+            j.make = []() { return makeWorkload("NN/euclid"); };
+            jobs.push_back(j);
+        }
+    }
+    jobs[2].make = gatedMake(gate, releasedInTime);
+    jobs[3].make = jobs[2].make;
+    return jobs;
+}
+
+TEST(ExperimentEngine, ReadyJobRunsWhileAnotherWorkloadTraces)
+{
+    // B's trace can only finish once A's first job has been delivered,
+    // so a pool that holds every job back until all traces are in
+    // times the gate out instead.
+    std::promise<void> release;
+    std::atomic<bool> releasedInTime{false};
+    const auto jobs = gatedPair(release.get_future().share(), releasedInTime);
+    EngineOptions opts{2};
+    opts.onResult = [&](size_t index, const JobResult &) {
+        if (index == 0)
+            release.set_value();
+    };
+    ExperimentEngine engine(opts);
+    for (const auto &r : engine.run(jobs))
+        EXPECT_TRUE(r.ok()) << r.workload << " " << r.arch << ": " << r.error;
+    EXPECT_TRUE(releasedInTime);
+    EXPECT_EQ(engine.traceCache().functionalExecutions(), 2u);
+}
+
+TEST(ExperimentEngine, ReadyJobsDispatchLongestFirst)
+{
+    // Jobs 0-3 are two registry workloads on two archs; job 4's gated
+    // fetch holds one of the two workers until jobs 0-3 are delivered,
+    // so the other worker dispatches those four alone, one at a time,
+    // once both of their fetches have returned.
+    std::promise<void> release;
+    std::atomic<bool> releasedInTime{false};
+    std::vector<ExperimentJob> jobs;
+    for (const char *w : {"NN/euclid", "BFS/Kernel"}) {
+        for (const char *arch : {"vgiw", "fermi"}) {
+            ExperimentJob j;
+            j.workload = w;
+            j.arch = arch;
+            jobs.push_back(j);
+        }
+    }
+    jobs.push_back(jobs[0]);
+    jobs[4].workload = "SYNTH/gated";
+    jobs[4].make = gatedMake(release.get_future().share(), releasedInTime);
+
+    std::vector<size_t> delivered;
+    EngineOptions opts{2};
+    opts.onResult = [&](size_t index, const JobResult &) {
+        if (index >= 4)
+            return;
+        delivered.push_back(index);
+        if (delivered.size() == 4)
+            release.set_value();
+    };
+    ExperimentEngine engine(opts);
+    for (const auto &r : engine.run(jobs))
+        ASSERT_TRUE(r.ok()) << r.workload << " " << r.arch << ": " << r.error;
+    ASSERT_TRUE(releasedInTime);
+
+    std::vector<uint64_t> cost(jobs.size(), 0);
+    for (size_t i = 0; i < 4; ++i) {
+        const TraceResult t = engine.traceCache().get(
+            jobs[i].workload,
+            [&] { return makeWorkload(jobs[i].workload); },
+            /*nameIsUnique=*/true);
+        cost[i] = t.traces->totalBlockExecs() + t.traces->totalAccesses();
+    }
+    ASSERT_NE(cost[0], cost[2]);
+    EXPECT_EQ(delivered, longestFirst({0, 1, 2, 3}, cost));
+}
+
+TEST(ExperimentEngine, StopWhileFetchInFlightDrainsWithoutHanging)
+{
+    // A's first delivered job asks the sweep to stop while B's fetch
+    // is still blocked; run() must return with B's jobs undispatched.
+    std::promise<void> release;
+    std::atomic<bool> releasedInTime{false};
+    const auto jobs = gatedPair(release.get_future().share(), releasedInTime);
+    std::atomic<bool> stop{false};
+    std::vector<bool> delivered(jobs.size(), false);
+    EngineOptions opts{2};
+    opts.stop = &stop;
+    opts.onResult = [&](size_t index, const JobResult &) {
+        delivered[index] = true;
+        if (index == 0) {
+            stop = true;
+            release.set_value();
+        }
+    };
+    ExperimentEngine engine(opts);
+    const auto results = engine.run(jobs);
+    ASSERT_EQ(results.size(), jobs.size());
+    EXPECT_TRUE(releasedInTime);
+    EXPECT_TRUE(delivered[0]);
+    EXPECT_TRUE(results[0].ok()) << results[0].error;
+    for (size_t i = 0; i < results.size(); ++i) {
+        EXPECT_NE(delivered[i], results[i].drained) << i;
+        if (i >= 2) {
+            EXPECT_TRUE(results[i].drained) << i;
+            EXPECT_FALSE(results[i].ran) << i;
+        }
     }
 }
 

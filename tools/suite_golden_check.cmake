@@ -1,8 +1,8 @@
 # Golden-output check: the default full-suite --json artifact must be
 # byte-identical to the committed reference rows, in-process and
 # sharded alike. The jobs4 leg pins four in-process workers, so the
-# trace pre-pass and longest-first dispatch run even where the default
-# worker count (hardware_concurrency) is 1. The workload leg pins
+# pipelined trace fetches and longest-first dispatch run even where the
+# default worker count (hardware_concurrency) is 1. The workload leg pins
 # --workload: its rows must be the reference rows of that workload.
 # A model change that moves any simulated number fails here; the PR
 # that makes it must say which numbers moved and why.
