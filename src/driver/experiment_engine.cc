@@ -312,10 +312,10 @@ ExperimentEngine::runWith(const std::vector<ExperimentJob> &jobs,
             std::lock_guard<std::mutex> lock(report_mu);
             report(i, results[i]);
         }
-        // Decompose into the columnar table *after* the callbacks
-        // so the row (and the journal line rendered from it)
-        // records any callback-failure demotion — the line on disk
-        // must equal the line the JSON writer will emit.
+        // Render the row *after* the callbacks so it (and the
+        // journal line taken from it) records any callback-failure
+        // demotion — the line on disk must equal the line the JSON
+        // writer will emit.
         table_.fill(i, results[i]);
         if (journal) {
             JournalEntry entry;

@@ -352,12 +352,11 @@ class ExperimentEngine
     CompileCache &compileCache() { return ccache_; }
 
     /**
-     * The last run()'s results in columnar form — every row filled
-     * (executed, restored and drained alike), rendered lines cached
-     * for rows the journal already serialised. Valid until the next
-     * run(). This is the preferred way to serialise a sweep: rendering
-     * goes through ResultTable::renderRow, the same code path the
-     * journal used, so the artifact cannot diverge from the journal.
+     * The last run()'s results as rendered JSON lines — every row
+     * filled (executed, restored and drained alike). Valid until the
+     * next run(). This is the preferred way to serialise a sweep: the
+     * journal appended these same lines, so the artifact cannot
+     * diverge from the journal.
      */
     ResultTable &resultTable() { return table_; }
 

@@ -181,7 +181,7 @@ addStatsMsg(const std::string &payload, SupervisorStats *sum)
  * into @p jobs, run each through a worker-lifetime ExperimentEngine
  * under its global index (so injector rules and metrics slots match an
  * in-process run), stream back Result frames rendered with
- * ResultTable::renderRow (the byte-identity contract), heartbeat from
+ * renderJobLine (the byte-identity contract), heartbeat from
  * a side thread, send a final Stats frame, honour Shutdown/EOF/drain.
  * Returns the worker exit code.
  */
@@ -220,7 +220,6 @@ ShardSupervisor::workerMain(int in_fd, int out_fd,
     // fleet traces it once.
     ExperimentEngine engine(eopts);
     engine.beginSweep(jobs);
-    ResultTable &table = engine.resultTable();
 
     // The heartbeat thread shares the result fd; a mutex keeps frames
     // from interleaving mid-write.
@@ -276,9 +275,8 @@ ShardSupervisor::workerMain(int in_fd, int out_fd,
         }
 
         const JobResult r = engine.execute(jobs[index], size_t(index));
-        table.fill(size_t(index), r);
         const std::string payload =
-            encodeResultMsg(index, r, table.renderRow(size_t(index)));
+            encodeResultMsg(index, r, renderJobLine(r));
         std::lock_guard<std::mutex> lock(write_mu);
         if (eopts.injector &&
             eopts.injector->fire(FaultInjector::Point::Send, index)) {

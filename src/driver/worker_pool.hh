@@ -28,7 +28,7 @@
  *  - **Supervision**: workers send heartbeats; the coordinator enforces
  *    a heartbeat timeout and an optional per-job wall-clock deadline.
  *  - **Byte-identity**: workers render rows with the same
- *    ResultTable::renderRow the in-process engine uses, and the
+ *    renderJobLine the in-process engine uses, and the
  *    coordinator re-emits those bytes verbatim — so shard-mode --json
  *    output is byte-identical to an in-process run for every surviving
  *    job, and journal lines do not depend on the mode.
@@ -135,8 +135,8 @@ class ShardSupervisor
      */
     std::vector<ShardRow> run(const std::vector<ExperimentJob> &jobs);
 
-    /** The last run()'s rows in columnar form, rendered byte-identical
-     * to an in-process sweep — the input for --json. */
+    /** The last run()'s rows as JSON lines, byte-identical to an
+     * in-process sweep — the input for --json. */
     ResultTable &resultTable() { return engine_.resultTable(); }
 
     const SupervisorStats &stats() const { return stats_; }

@@ -76,6 +76,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -242,18 +244,27 @@ printStats(const RunStats &rs, bool verbose)
     }
 }
 
-/** Parse a non-negative integer option value or exit(2) with a hint. */
-unsigned long
-parseCount(const std::string &opt, const char *value)
+/**
+ * Parse a non-negative integer option value or exit(2) with a hint.
+ * Values above @p max, the largest the destination holds, are
+ * rejected rather than narrowed.
+ */
+uint64_t
+parseCount(const std::string &opt, const char *value, uint64_t max)
 {
     char *end = nullptr;
     errno = 0;
-    const unsigned long n = std::strtoul(value, &end, 10);
-    // strtoul happily wraps "-5"; insist on a plain digit string.
-    if (!std::isdigit((unsigned char)value[0]) || errno != 0 ||
-        end == value || *end != '\0') {
+    const unsigned long long n = std::strtoull(value, &end, 10);
+    // strtoull happily wraps "-5"; insist on a plain digit string.
+    if (!std::isdigit((unsigned char)value[0]) || end == value ||
+        *end != '\0') {
         std::fprintf(stderr, "invalid value '%s' for %s\n", value,
                      opt.c_str());
+        std::exit(2);
+    }
+    if (errno == ERANGE || n > max) {
+        std::fprintf(stderr, "value '%s' for %s is out of range (max %llu)\n",
+                     value, opt.c_str(), (unsigned long long)max);
         std::exit(2);
     }
     return n;
@@ -263,14 +274,12 @@ parseCount(const std::string &opt, const char *value)
  * Write a result table as JSON lines via temp-file + atomic rename: a
  * crash mid-write can never leave a truncated or half-valid artifact
  * at the --json path. Jobs drained by an interrupt are omitted — they
- * have no result; a resume will produce them. Rendering goes through
- * ResultTable::renderRow, the same formatter the journal used, so
- * rows the journal already serialised are served from the render
- * cache instead of being formatted a second time. Returns false on
- * I/O failure.
+ * have no result; a resume will produce them. Each line was rendered
+ * once, when its row was filled, by the formatter the journal uses
+ * too. Returns false on I/O failure.
  */
 bool
-writeJson(const std::string &path, ResultTable &table)
+writeJson(const std::string &path, const ResultTable &table)
 {
     struct LineSink : ResultSink
     {
@@ -339,12 +348,12 @@ main(int argc, char **argv)
         } else if (a == "--arch") {
             arch = next();
         } else if (a == "--jobs") {
-            jobs = unsigned(parseCount(a, next()));
+            jobs = unsigned(parseCount(a, next(), UINT_MAX));
         } else if (a == "--shards") {
-            shards = unsigned(parseCount(a, next()));
+            shards = unsigned(parseCount(a, next(), UINT_MAX));
             shards_set = true;
         } else if (a == "--shard-deadline-ms") {
-            shard_deadline_ms = parseCount(a, next());
+            shard_deadline_ms = parseCount(a, next(), UINT64_MAX);
             shard_deadline_set = true;
         } else if (a == "--json") {
             json_path = next();
@@ -359,17 +368,19 @@ main(int argc, char **argv)
         } else if (a == "--resume") {
             resume = true;
         } else if (a == "--retries") {
-            retries = unsigned(parseCount(a, next()));
+            // 1 + retries is the attempt count: keep it from wrapping.
+            retries = unsigned(parseCount(a, next(), UINT_MAX - 1));
         } else if (a == "--dry-run") {
             dry_run = true;
         } else if (a == "--lvc-bytes") {
-            vcfg.lvcBytes = uint32_t(parseCount(a, next()));
+            vcfg.lvcBytes = uint32_t(parseCount(a, next(), UINT32_MAX));
         } else if (a == "--cvt-bits") {
-            vcfg.cvtCapacityBits = uint32_t(parseCount(a, next()));
+            vcfg.cvtCapacityBits =
+                uint32_t(parseCount(a, next(), UINT32_MAX));
         } else if (a == "--max-replay-cycles") {
-            wd.maxReplayCycles = parseCount(a, next());
+            wd.maxReplayCycles = parseCount(a, next(), UINT64_MAX);
         } else if (a == "--deadline-ms") {
-            wd.deadlineMs = double(parseCount(a, next()));
+            wd.deadlineMs = double(parseCount(a, next(), UINT64_MAX));
         } else if (a == "--no-replication") {
             vcfg.enableReplication = false;
         } else if (a == "--coalescing") {
