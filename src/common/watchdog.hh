@@ -38,7 +38,8 @@ struct WatchdogConfig
     /** Abort the replay after this many model cycles (0 = unlimited). */
     uint64_t maxReplayCycles = 0;
 
-    /** Abort the replay past this wall-clock budget (0 = no deadline). */
+    /** Abort the replay past this wall-clock budget (0 = no deadline;
+     * a budget past the clock's range never fires). */
     double deadlineMs = 0.0;
 
     /**
@@ -60,16 +61,22 @@ class Watchdog
     Watchdog(const WatchdogConfig &cfg, std::string context)
         : maxCycles_(cfg.maxReplayCycles), context_(std::move(context))
     {
+        using Clock = std::chrono::steady_clock;
         if (cfg.deadlineMs > 0) {
-            const auto anchor =
-                cfg.anchor == std::chrono::steady_clock::time_point{}
-                    ? std::chrono::steady_clock::now()
-                    : cfg.anchor;
-            deadline_ = anchor + std::chrono::duration_cast<
-                                     std::chrono::steady_clock::duration>(
-                                     std::chrono::duration<double, std::milli>(
-                                         cfg.deadlineMs));
-            hasDeadline_ = true;
+            const auto anchor = cfg.anchor == Clock::time_point{}
+                                    ? Clock::now()
+                                    : cfg.anchor;
+            const std::chrono::duration<double, std::milli> budget(
+                cfg.deadlineMs);
+            // A budget that reaches (within a second's rounding margin)
+            // past the last time point the clock can hold never expires:
+            // adding it would overflow and fire at once.
+            if (budget < Clock::time_point::max() - anchor -
+                             std::chrono::seconds(1)) {
+                deadline_ = anchor +
+                            std::chrono::duration_cast<Clock::duration>(budget);
+                hasDeadline_ = true;
+            }
         }
     }
 

@@ -668,8 +668,15 @@ ShardSupervisor::supervise(const std::vector<ExperimentJob> &jobs,
 
         // The two clocks: SIGKILL now, classify the death at the reap.
         const auto after = Clock::now();
+        // A budget past what the clock can span (about 292 years) never
+        // expires; converting it to the clock's ticks would overflow.
         auto overran = [&](Clock::time_point since, uint64_t ms) {
-            return after - since > std::chrono::milliseconds(ms);
+            constexpr uint64_t kMaxMs = uint64_t(
+                std::chrono::duration_cast<std::chrono::milliseconds>(
+                    Clock::duration::max())
+                    .count());
+            return ms < kMaxMs &&
+                   after - since > std::chrono::milliseconds(ms);
         };
         for (Slot &s : slots) {
             if (!s.alive || !s.pendingReason.empty())

@@ -1,7 +1,9 @@
 #include "interp/interpreter.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 #include "common/bit_vector.hh"
@@ -13,185 +15,310 @@ namespace vgiw
 namespace
 {
 
-/** Evaluate a non-memory operation. Integer div/rem by zero yields 0. */
-Scalar
-evalOp(const Instr &in, Scalar a, Scalar b, Scalar c)
+/** Lanes per strip: a block vector runs in strips of this many threads. */
+constexpr size_t kStrip = 256;
+
+// Columns of the lane buffer, kStrip words each.
+constexpr uint32_t kTidCol = 0;      ///< tid, tidInCta, ctaId
+constexpr uint32_t kScratchCol = 3;  ///< 3 operand gathers / broadcasts
+constexpr uint32_t kDeadCol = 6;     ///< results that nothing reads
+constexpr uint32_t kLocalCol = 7;    ///< first register column
+
+float f32(uint32_t x) { return std::bit_cast<float>(x); }
+uint32_t bits(float x) { return std::bit_cast<uint32_t>(x); }
+int32_t i32(uint32_t x) { return int32_t(x); }
+
+template <class F>
+void
+lanes1(uint32_t *out, const uint32_t *a, size_t n, F f)
+{
+    for (size_t l = 0; l < n; ++l)
+        out[l] = f(a[l]);
+}
+
+template <class F>
+void
+lanes2(uint32_t *out, const uint32_t *a, const uint32_t *b, size_t n, F f)
+{
+    for (size_t l = 0; l < n; ++l)
+        out[l] = f(a[l], b[l]);
+}
+
+/**
+ * Evaluate a non-memory operation over @p n lanes of operand columns.
+ * Integer div/rem by zero yields 0.
+ */
+void
+evalColumn(const Instr &in, uint32_t *out, const uint32_t *a,
+           const uint32_t *b, const uint32_t *c, size_t n)
 {
     const Type t = in.type;
-    auto boolean = [](bool v) { return Scalar::fromU32(v ? 1 : 0); };
+    const bool fp = t == Type::F32;
+    const bool sgn = t == Type::I32;
     switch (in.op) {
       case Opcode::Add:
-        if (t == Type::F32) return Scalar::fromF32(a.asF32() + b.asF32());
-        return Scalar::fromU32(a.asU32() + b.asU32());
+        if (fp) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                              { return bits(f32(x) + f32(y)); });
+        return lanes2(out, a, b, n,
+                      [](uint32_t x, uint32_t y) { return x + y; });
       case Opcode::Sub:
-        if (t == Type::F32) return Scalar::fromF32(a.asF32() - b.asF32());
-        return Scalar::fromU32(a.asU32() - b.asU32());
+        if (fp) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                              { return bits(f32(x) - f32(y)); });
+        return lanes2(out, a, b, n,
+                      [](uint32_t x, uint32_t y) { return x - y; });
       case Opcode::Mul:
-        if (t == Type::F32) return Scalar::fromF32(a.asF32() * b.asF32());
-        return Scalar::fromU32(a.asU32() * b.asU32());
+        if (fp) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                              { return bits(f32(x) * f32(y)); });
+        return lanes2(out, a, b, n,
+                      [](uint32_t x, uint32_t y) { return x * y; });
       case Opcode::Min:
-        if (t == Type::F32)
-            return Scalar::fromF32(std::fmin(a.asF32(), b.asF32()));
-        if (t == Type::I32)
-            return Scalar::fromI32(std::min(a.asI32(), b.asI32()));
-        return Scalar::fromU32(std::min(a.asU32(), b.asU32()));
+        if (fp) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                              { return bits(std::fmin(f32(x), f32(y))); });
+        if (sgn) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                               { return uint32_t(std::min(i32(x), i32(y))); });
+        return lanes2(out, a, b, n,
+                      [](uint32_t x, uint32_t y) { return std::min(x, y); });
       case Opcode::Max:
-        if (t == Type::F32)
-            return Scalar::fromF32(std::fmax(a.asF32(), b.asF32()));
-        if (t == Type::I32)
-            return Scalar::fromI32(std::max(a.asI32(), b.asI32()));
-        return Scalar::fromU32(std::max(a.asU32(), b.asU32()));
+        if (fp) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                              { return bits(std::fmax(f32(x), f32(y))); });
+        if (sgn) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                               { return uint32_t(std::max(i32(x), i32(y))); });
+        return lanes2(out, a, b, n,
+                      [](uint32_t x, uint32_t y) { return std::max(x, y); });
       case Opcode::Neg:
-        if (t == Type::F32) return Scalar::fromF32(-a.asF32());
-        return Scalar::fromU32(0u - a.asU32());
+        if (fp) return lanes1(out, a, n,
+                              [](uint32_t x) { return bits(-f32(x)); });
+        return lanes1(out, a, n, [](uint32_t x) { return 0u - x; });
       case Opcode::Abs:
-        if (t == Type::F32) return Scalar::fromF32(std::fabs(a.asF32()));
-        return Scalar::fromI32(std::abs(a.asI32()));
-      case Opcode::And: return Scalar::fromU32(a.asU32() & b.asU32());
-      case Opcode::Or: return Scalar::fromU32(a.asU32() | b.asU32());
-      case Opcode::Xor: return Scalar::fromU32(a.asU32() ^ b.asU32());
-      case Opcode::Not: return Scalar::fromU32(~a.asU32());
-      case Opcode::Shl: return Scalar::fromU32(a.asU32() << (b.asU32() & 31));
+        if (fp) return lanes1(out, a, n, [](uint32_t x)
+                              { return bits(std::fabs(f32(x))); });
+        return lanes1(out, a, n,
+                      [](uint32_t x) { return uint32_t(std::abs(i32(x))); });
+      case Opcode::And:
+        return lanes2(out, a, b, n,
+                      [](uint32_t x, uint32_t y) { return x & y; });
+      case Opcode::Or:
+        return lanes2(out, a, b, n,
+                      [](uint32_t x, uint32_t y) { return x | y; });
+      case Opcode::Xor:
+        return lanes2(out, a, b, n,
+                      [](uint32_t x, uint32_t y) { return x ^ y; });
+      case Opcode::Not:
+        return lanes1(out, a, n, [](uint32_t x) { return ~x; });
+      case Opcode::Shl:
+        return lanes2(out, a, b, n,
+                      [](uint32_t x, uint32_t y) { return x << (y & 31); });
       case Opcode::Shr:
-        if (t == Type::I32)
-            return Scalar::fromI32(a.asI32() >> (b.asU32() & 31));
-        return Scalar::fromU32(a.asU32() >> (b.asU32() & 31));
+        if (sgn) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                               { return uint32_t(i32(x) >> (y & 31)); });
+        return lanes2(out, a, b, n,
+                      [](uint32_t x, uint32_t y) { return x >> (y & 31); });
       case Opcode::CmpEq:
-        if (t == Type::F32) return boolean(a.asF32() == b.asF32());
-        return boolean(a.asU32() == b.asU32());
+        if (fp) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                              { return uint32_t(f32(x) == f32(y)); });
+        return lanes2(out, a, b, n,
+                      [](uint32_t x, uint32_t y) { return uint32_t(x == y); });
       case Opcode::CmpNe:
-        if (t == Type::F32) return boolean(a.asF32() != b.asF32());
-        return boolean(a.asU32() != b.asU32());
+        if (fp) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                              { return uint32_t(f32(x) != f32(y)); });
+        return lanes2(out, a, b, n,
+                      [](uint32_t x, uint32_t y) { return uint32_t(x != y); });
       case Opcode::CmpLt:
-        if (t == Type::F32) return boolean(a.asF32() < b.asF32());
-        if (t == Type::I32) return boolean(a.asI32() < b.asI32());
-        return boolean(a.asU32() < b.asU32());
+        if (fp) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                              { return uint32_t(f32(x) < f32(y)); });
+        if (sgn) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                               { return uint32_t(i32(x) < i32(y)); });
+        return lanes2(out, a, b, n,
+                      [](uint32_t x, uint32_t y) { return uint32_t(x < y); });
       case Opcode::CmpLe:
-        if (t == Type::F32) return boolean(a.asF32() <= b.asF32());
-        if (t == Type::I32) return boolean(a.asI32() <= b.asI32());
-        return boolean(a.asU32() <= b.asU32());
+        if (fp) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                              { return uint32_t(f32(x) <= f32(y)); });
+        if (sgn) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                               { return uint32_t(i32(x) <= i32(y)); });
+        return lanes2(out, a, b, n,
+                      [](uint32_t x, uint32_t y) { return uint32_t(x <= y); });
       case Opcode::CmpGt:
-        if (t == Type::F32) return boolean(a.asF32() > b.asF32());
-        if (t == Type::I32) return boolean(a.asI32() > b.asI32());
-        return boolean(a.asU32() > b.asU32());
+        if (fp) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                              { return uint32_t(f32(x) > f32(y)); });
+        if (sgn) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                               { return uint32_t(i32(x) > i32(y)); });
+        return lanes2(out, a, b, n,
+                      [](uint32_t x, uint32_t y) { return uint32_t(x > y); });
       case Opcode::CmpGe:
-        if (t == Type::F32) return boolean(a.asF32() >= b.asF32());
-        if (t == Type::I32) return boolean(a.asI32() >= b.asI32());
-        return boolean(a.asU32() >= b.asU32());
-      case Opcode::Select: return a.asBool() ? b : c;
+        if (fp) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                              { return uint32_t(f32(x) >= f32(y)); });
+        if (sgn) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                               { return uint32_t(i32(x) >= i32(y)); });
+        return lanes2(out, a, b, n,
+                      [](uint32_t x, uint32_t y) { return uint32_t(x >= y); });
+      case Opcode::Select:
+        for (size_t l = 0; l < n; ++l)
+            out[l] = a[l] != 0 ? b[l] : c[l];
+        return;
       case Opcode::Div:
-        if (t == Type::F32) return Scalar::fromF32(a.asF32() / b.asF32());
-        if (t == Type::I32) {
-            return Scalar::fromI32(
-                b.asI32() == 0 ? 0 : a.asI32() / b.asI32());
-        }
-        return Scalar::fromU32(b.asU32() == 0 ? 0 : a.asU32() / b.asU32());
+        if (fp) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                              { return bits(f32(x) / f32(y)); });
+        if (sgn) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                               { return y ? uint32_t(i32(x) / i32(y)) : 0u; });
+        return lanes2(out, a, b, n,
+                      [](uint32_t x, uint32_t y) { return y ? x / y : 0u; });
       case Opcode::Rem:
-        if (t == Type::F32)
-            return Scalar::fromF32(std::fmod(a.asF32(), b.asF32()));
-        if (t == Type::I32) {
-            return Scalar::fromI32(
-                b.asI32() == 0 ? 0 : a.asI32() % b.asI32());
-        }
-        return Scalar::fromU32(b.asU32() == 0 ? 0 : a.asU32() % b.asU32());
-      case Opcode::Sqrt: return Scalar::fromF32(std::sqrt(a.asF32()));
+        if (fp) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                              { return bits(std::fmod(f32(x), f32(y))); });
+        if (sgn) return lanes2(out, a, b, n, [](uint32_t x, uint32_t y)
+                               { return y ? uint32_t(i32(x) % i32(y)) : 0u; });
+        return lanes2(out, a, b, n,
+                      [](uint32_t x, uint32_t y) { return y ? x % y : 0u; });
+      case Opcode::Sqrt:
+        return lanes1(out, a, n,
+                      [](uint32_t x) { return bits(std::sqrt(f32(x))); });
       case Opcode::Rsqrt:
-        return Scalar::fromF32(1.0f / std::sqrt(a.asF32()));
-      case Opcode::Exp: return Scalar::fromF32(std::exp(a.asF32()));
-      case Opcode::Log: return Scalar::fromF32(std::log(a.asF32()));
-      case Opcode::Sin: return Scalar::fromF32(std::sin(a.asF32()));
-      case Opcode::Cos: return Scalar::fromF32(std::cos(a.asF32()));
-      case Opcode::I2F: return Scalar::fromF32(float(a.asI32()));
-      case Opcode::U2F: return Scalar::fromF32(float(a.asU32()));
-      case Opcode::F2I: return Scalar::fromI32(int32_t(a.asF32()));
-      case Opcode::F2U: return Scalar::fromU32(uint32_t(a.asF32()));
+        return lanes1(out, a, n, [](uint32_t x)
+                      { return bits(1.0f / std::sqrt(f32(x))); });
+      case Opcode::Exp:
+        return lanes1(out, a, n,
+                      [](uint32_t x) { return bits(std::exp(f32(x))); });
+      case Opcode::Log:
+        return lanes1(out, a, n,
+                      [](uint32_t x) { return bits(std::log(f32(x))); });
+      case Opcode::Sin:
+        return lanes1(out, a, n,
+                      [](uint32_t x) { return bits(std::sin(f32(x))); });
+      case Opcode::Cos:
+        return lanes1(out, a, n,
+                      [](uint32_t x) { return bits(std::cos(f32(x))); });
+      case Opcode::I2F:
+        return lanes1(out, a, n,
+                      [](uint32_t x) { return bits(float(i32(x))); });
+      case Opcode::U2F:
+        return lanes1(out, a, n, [](uint32_t x) { return bits(float(x)); });
+      case Opcode::F2I:
+        return lanes1(out, a, n,
+                      [](uint32_t x) { return uint32_t(int32_t(f32(x))); });
+      case Opcode::F2U:
+        return lanes1(out, a, n,
+                      [](uint32_t x) { return uint32_t(f32(x)); });
       default:
-        vgiw_panic("evalOp on unexpected opcode ", opcodeName(in.op));
+        vgiw_panic("evalColumn on unexpected opcode ", opcodeName(in.op));
     }
 }
 
-/** A decoded operand: the value at banks[bank][index] (see Program). */
+/** A decoded operand: where its column of lane values comes from. */
 struct Src
 {
-    uint32_t bank = 0;
-    uint32_t index = 0;
+    enum Kind : uint32_t
+    {
+        Column,     ///< lane-buffer column v (tid specials, registers)
+        Gather,     ///< live value v of each lane's thread
+        Broadcast,  ///< the launch-fixed word v (params, constants, ...)
+    };
+    Kind kind = Broadcast;
+    uint32_t v = 0;
 };
 
-constexpr uint32_t kFrame = 0;  ///< launch frame bank
-constexpr uint32_t kLive = 1;   ///< the running thread's live values
-
-// Launch frame slots the running thread and block overwrite.
-constexpr uint32_t kTidSlot = 0;    ///< tid, tidInCta, ctaId
-constexpr uint32_t kLocalBase = 3;  ///< instruction i writes slot 3 + i
-
 /**
- * A kernel's operands decoded for one launch. Every operand is resolved
- * to a slot of one of two banks. The frame holds the running thread's
- * tid, tidInCta and ctaId, then the running block's locals, then what
- * is fixed for the launch: the params, the launch-wide specials and the
- * constants. The live bank is the running thread's row of the flat
- * numThreads x numLiveValues live-value array.
+ * A kernel decoded for one launch: per block, in order, 4 entries per
+ * instruction (the column it writes, then its 3 operands), 1 per
+ * live-out, then the branch condition. Result columns are allocated per
+ * block by a linear scan: a register column is free again once its
+ * last reader has run, so a block needs only as many as it has results
+ * live at once.
  */
 struct Program
 {
-    std::vector<Scalar> frame;
-    /** Per block, in order: 3 per instruction, 1 per live-out, then
-     * the branch condition. */
     std::vector<Src> srcs;
     std::vector<uint32_t> firstSrc;  ///< per block, index into srcs
+    uint32_t numCols = kLocalCol;    ///< lane-buffer columns needed
 
     Program(const Kernel &k, const LaunchParams &launch)
     {
-        size_t max_instrs = 0;
-        for (const BasicBlock &b : k.blocks)
+        size_t max_instrs = 0, num_srcs = 0;
+        for (const BasicBlock &b : k.blocks) {
             max_instrs = std::max(max_instrs, b.instrs.size());
-        frame.resize(kLocalBase + max_instrs);
-        const uint32_t params = uint32_t(frame.size());
-        frame.insert(frame.end(), launch.params.begin(),
-                     launch.params.end());
-        const uint32_t launch_specials = uint32_t(frame.size());
-        frame.push_back(Scalar::fromU32(uint32_t(launch.ctaSize)));
-        frame.push_back(Scalar::fromU32(uint32_t(launch.numCtas)));
-        frame.push_back(Scalar::fromU32(uint32_t(launch.numThreads())));
-        const uint32_t none_slot = uint32_t(frame.size());
-        frame.push_back(Scalar{});
+            num_srcs += 4 * b.instrs.size() + b.liveOuts.size() + 1;
+        }
+        srcs.reserve(num_srcs);
+        firstSrc.reserve(k.blocks.size());
+        std::vector<uint32_t> col;   // the running block's result columns
+        std::vector<size_t> last;    // each result's last reader
+        std::vector<uint32_t> free;  // register columns free for reuse
+        col.reserve(max_instrs);
+        last.reserve(max_instrs);
+        free.reserve(max_instrs);
+        constexpr size_t kUnread = SIZE_MAX;
 
         auto decode = [&](const Operand &o) -> Src {
             switch (o.kind) {
-              case OperandKind::Local: return {kFrame, kLocalBase + o.index};
-              case OperandKind::LiveIn: return {kLive, o.index};
-              case OperandKind::Param: return {kFrame, params + o.index};
+              case OperandKind::Local: return {Src::Column, col[o.index]};
+              case OperandKind::LiveIn: return {Src::Gather, o.index};
+              case OperandKind::Param:
+                return {Src::Broadcast, launch.params[o.index].bits};
               case OperandKind::Const:
-                frame.push_back(o.constant);
-                return {kFrame, uint32_t(frame.size() - 1)};
+                return {Src::Broadcast, o.constant.bits};
               case OperandKind::Special:
                 switch (o.specialReg()) {
-                  case SpecialReg::Tid: return {kFrame, kTidSlot};
-                  case SpecialReg::TidInCta: return {kFrame, kTidSlot + 1};
-                  case SpecialReg::CtaId: return {kFrame, kTidSlot + 2};
-                  case SpecialReg::CtaSize: return {kFrame, launch_specials};
+                  case SpecialReg::Tid: return {Src::Column, kTidCol};
+                  case SpecialReg::TidInCta:
+                    return {Src::Column, kTidCol + 1};
+                  case SpecialReg::CtaId: return {Src::Column, kTidCol + 2};
+                  case SpecialReg::CtaSize:
+                    return {Src::Broadcast, uint32_t(launch.ctaSize)};
                   case SpecialReg::NumCtas:
-                    return {kFrame, launch_specials + 1};
+                    return {Src::Broadcast, uint32_t(launch.numCtas)};
                   case SpecialReg::NumThreads:
-                    return {kFrame, launch_specials + 2};
+                    return {Src::Broadcast, uint32_t(launch.numThreads())};
                 }
                 vgiw_panic("bad special reg");
               case OperandKind::None:
-                // Unused operand slot (arity < 3); the verifier has
-                // already checked that real operands are present.
-                return {kFrame, none_slot};
+                // Unused operand slot (arity < 3); never read.
+                return {Src::Broadcast, 0};
             }
             vgiw_panic("bad operand kind");
         };
 
         for (const BasicBlock &b : k.blocks) {
+            const size_t n = b.instrs.size();
+            // Live-outs and the branch condition read at the block's end.
+            last.assign(n, kUnread);
+            for (size_t i = 0; i < n; ++i)
+                for (const Operand &o : b.instrs[i].src)
+                    if (o.kind == OperandKind::Local)
+                        last[o.index] = i;
+            for (const LiveOut &lo : b.liveOuts)
+                if (lo.value.kind == OperandKind::Local)
+                    last[lo.value.index] = n;
+            if (b.term.cond.kind == OperandKind::Local)
+                last[b.term.cond.index] = n;
+
+            col.assign(n, kDeadCol);
+            free.clear();
+            uint32_t next_col = kLocalCol;
             firstSrc.push_back(uint32_t(srcs.size()));
-            for (const Instr &in : b.instrs)
-                for (const Operand &o : in.src)
+            for (size_t i = 0; i < n; ++i) {
+                // Take the result's column before freeing the operands'
+                // so that no instruction writes a column it reads.
+                if (last[i] != kUnread) {
+                    if (free.empty()) {
+                        col[i] = next_col++;
+                    } else {
+                        col[i] = free.back();
+                        free.pop_back();
+                    }
+                }
+                srcs.push_back({Src::Column, col[i]});
+                for (const Operand &o : b.instrs[i].src)
                     srcs.push_back(decode(o));
+                for (const Operand &o : b.instrs[i].src) {
+                    if (o.kind == OperandKind::Local && last[o.index] == i) {
+                        free.push_back(col[o.index]);
+                        last[o.index] = kUnread;
+                    }
+                }
+            }
             for (const LiveOut &lo : b.liveOuts)
                 srcs.push_back(decode(lo.value));
             srcs.push_back(decode(b.term.cond));
+            numCols = std::max(numCols, next_col);
         }
     }
 };
@@ -210,16 +337,20 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
     const int num_blocks = k.numBlocks();
     const uint32_t cta_size = uint32_t(launch.ctaSize);
 
-    Program prog(k, launch);
-    Scalar *const frame = prog.frame.data();
-    Scalar *const locals = frame + kLocalBase;
+    const Program prog(k, launch);
+
+    // One strip's lane columns: tid specials, operand scratch, results.
+    std::vector<uint32_t> lane_buf(size_t(prog.numCols) * kStrip);
+    uint32_t *const lanes = lane_buf.data();
+    const uint32_t *const lane_tid = lanes + kTidCol * kStrip;
+    const uint32_t *const lane_cta = lanes + (kTidCol + 2) * kStrip;
 
     // The block-vector schedule below interleaves threads; the writer
     // encodes each thread's streams as its executions arrive.
     TraceWriter trace(num_threads);
 
     const size_t num_lv = size_t(k.numLiveValues);
-    std::vector<Scalar> live(size_t(num_threads) * num_lv);
+    std::vector<uint32_t> live(size_t(num_threads) * num_lv);
 
     // Per-CTA scratchpads (shared memory), back to back.
     const uint32_t shared_words = uint32_t(k.sharedBytesPerCta + 3) / 4;
@@ -258,6 +389,21 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
         }
     };
 
+    // The column of @p s for the strip's @p n lanes; gathers and
+    // broadcasts fill operand scratch column @p slot.
+    auto column = [&](Src s, uint32_t slot, size_t n) -> const uint32_t * {
+        if (s.kind == Src::Column)
+            return lanes + s.v * kStrip;
+        uint32_t *const out = lanes + (kScratchCol + slot) * kStrip;
+        if (s.kind == Src::Gather) {
+            for (size_t l = 0; l < n; ++l)
+                out[l] = live[lane_tid[l] * num_lv + s.v];
+        } else {
+            std::fill_n(out, n, s.v);
+        }
+        return out;
+    };
+
     std::vector<uint32_t> tids(num_threads);
     uint64_t total_execs = 0;
 
@@ -281,91 +427,112 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
         const Src *const block_srcs = prog.srcs.data() + prog.firstSrc[next];
         const size_t num_tids = pending[next].drainToIndices(tids.data());
 
-        for (size_t t = 0; t < num_tids; ++t) {
-            const uint32_t tid = tids[t];
-            const uint32_t cta = tid / cta_size;
+        total_execs += num_tids;
+        if (total_execs > opts_.maxBlockExecs) {
+            vgiw_fatal("kernel '", k.name,
+                       "' exceeded max dynamic block executions");
+        }
 
-            if (++total_execs > opts_.maxBlockExecs) {
-                vgiw_fatal("kernel '", k.name,
-                           "' exceeded max dynamic block executions");
+        for (size_t first = 0; first < num_tids; first += kStrip) {
+            const size_t n = std::min(kStrip, num_tids - first);
+            {
+                uint32_t *const tid = lanes + kTidCol * kStrip;
+                uint32_t *const tid_in_cta = tid + kStrip;
+                uint32_t *const cta = tid + 2 * kStrip;
+                for (size_t l = 0; l < n; ++l) {
+                    tid[l] = tids[first + l];
+                    cta[l] = tid[l] / cta_size;
+                    tid_in_cta[l] = tid[l] - cta[l] * cta_size;
+                }
             }
-
-            frame[kTidSlot] = Scalar::fromU32(tid);
-            frame[kTidSlot + 1] = Scalar::fromU32(tid - cta * cta_size);
-            frame[kTidSlot + 2] = Scalar::fromU32(cta);
-            Scalar *const banks[2] = {frame, live.data() + tid * num_lv};
-            uint32_t *const cta_shared =
-                shared.data() + size_t(cta) * shared_words;
-            auto read = [&](Src s) { return banks[s.bank][s.index]; };
             const Src *src = block_srcs;
 
-            for (size_t i = 0; i < blk.instrs.size(); ++i, src += 3) {
-                const Instr &in = blk.instrs[i];
+            for (const Instr &in : blk.instrs) {
+                uint32_t *const out = lanes + src[0].v * kStrip;
+                const Src *const opnd = src + 1;
+                src += 4;
                 const bool is_shared = in.space == MemSpace::Shared;
                 if (in.op == Opcode::Load) {
-                    const uint32_t addr = read(src[0]).asU32();
-                    uint32_t word;
-                    if (is_shared) {
-                        vgiw_assert(addr / 4 < shared_words,
-                                    "shared load out of range @", addr,
-                                    " in kernel ", k.name);
-                        word = cta_shared[addr / 4];
-                    } else {
-                        word = mem.loadWord(addr);
+                    const uint32_t *const addr = column(opnd[0], 0, n);
+                    for (size_t l = 0; l < n; ++l) {
+                        if (is_shared) {
+                            vgiw_assert(addr[l] / 4 < shared_words,
+                                        "shared load out of range @",
+                                        addr[l], " in kernel ", k.name);
+                            out[l] = shared[size_t(lane_cta[l]) * shared_words +
+                                            addr[l] / 4];
+                        } else {
+                            out[l] = mem.loadWord(addr[l]);
+                        }
+                        trace.access(lane_tid[l], addr[l], false, is_shared);
                     }
-                    locals[i] = Scalar(word);
-                    trace.access(tid, addr, false, is_shared);
                 } else if (in.op == Opcode::Store) {
-                    const uint32_t addr = read(src[0]).asU32();
-                    const Scalar val = read(src[1]);
-                    if (is_shared) {
-                        vgiw_assert(addr / 4 < shared_words,
-                                    "shared store out of range @", addr,
-                                    " in kernel ", k.name);
-                        cta_shared[addr / 4] = val.bits;
-                    } else {
-                        mem.storeWord(addr, val.bits);
+                    const uint32_t *const addr = column(opnd[0], 0, n);
+                    const uint32_t *const val = column(opnd[1], 1, n);
+                    for (size_t l = 0; l < n; ++l) {
+                        if (is_shared) {
+                            vgiw_assert(addr[l] / 4 < shared_words,
+                                        "shared store out of range @",
+                                        addr[l], " in kernel ", k.name);
+                            shared[size_t(lane_cta[l]) * shared_words +
+                                   addr[l] / 4] = val[l];
+                        } else {
+                            mem.storeWord(addr[l], val[l]);
+                        }
+                        trace.access(lane_tid[l], addr[l], true, is_shared);
                     }
-                    locals[i] = Scalar{};
-                    trace.access(tid, addr, true, is_shared);
+                    std::fill_n(out, n, 0u);
                 } else {
-                    locals[i] = evalOp(in, read(src[0]), read(src[1]),
-                                       read(src[2]));
+                    const int arity = opcodeArity(in.op);
+                    const uint32_t *cols[3] = {nullptr, nullptr, nullptr};
+                    for (int s = 0; s < arity; ++s)
+                        cols[s] = column(opnd[s], uint32_t(s), n);
+                    evalColumn(in, out, cols[0], cols[1], cols[2], n);
                 }
             }
 
             // Live-outs in list order, then the branch condition: a
             // later live-out or the condition sees earlier writes.
-            for (const LiveOut &lo : blk.liveOuts)
-                banks[kLive][lo.lvid] = read(*src++);
-
-            // Terminator.
-            int succ = -1;
-            switch (blk.term.kind) {
-              case TermKind::Jump:
-                succ = blk.term.target[0];
-                break;
-              case TermKind::Branch:
-                succ = read(*src).asBool() ? blk.term.target[0]
-                                           : blk.term.target[1];
-                break;
-              case TermKind::Exit:
-                succ = -1;
-                break;
+            for (const LiveOut &lo : blk.liveOuts) {
+                const uint32_t *const val = column(*src++, 0, n);
+                for (size_t l = 0; l < n; ++l)
+                    live[lane_tid[l] * num_lv + lo.lvid] = val[l];
             }
+            const uint32_t *const cond =
+                blk.term.kind == TermKind::Branch ? column(*src, 0, n)
+                                                  : nullptr;
 
-            trace.exec(tid, next, succ);
+            // Terminators, lane by lane in tid order.
+            for (size_t l = 0; l < n; ++l) {
+                const uint32_t tid = lane_tid[l];
+                const uint32_t cta = lane_cta[l];
+                int succ = -1;
+                switch (blk.term.kind) {
+                  case TermKind::Jump:
+                    succ = blk.term.target[0];
+                    break;
+                  case TermKind::Branch:
+                    succ = cond[l] != 0 ? blk.term.target[0]
+                                        : blk.term.target[1];
+                    break;
+                  case TermKind::Exit:
+                    succ = -1;
+                    break;
+                }
 
-            if (succ < 0) {
-                --live_in_cta[cta];
-                release_ready_pools(int(cta));
-            } else if (blk.term.barrier) {
-                BarrierPool &p = pools[size_t(cta) * num_blocks + next];
-                p.arrivals.emplace_back(tid, succ);
-                ++waiting_threads;
-                release_ready_pools(int(cta));
-            } else {
-                pending[succ].set(tid);
+                trace.exec(tid, next, succ);
+
+                if (succ < 0) {
+                    --live_in_cta[cta];
+                    release_ready_pools(int(cta));
+                } else if (blk.term.barrier) {
+                    BarrierPool &p = pools[size_t(cta) * num_blocks + next];
+                    p.arrivals.emplace_back(tid, succ);
+                    ++waiting_threads;
+                    release_ready_pools(int(cta));
+                } else {
+                    pending[succ].set(tid);
+                }
             }
         }
     }

@@ -293,12 +293,12 @@ SgmfCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     // --- Energy events. -------------------------------------------------
     // Every mapped compute node fires per injection, taken path or not:
     // the control-divergence waste of the all-paths spatial mapping.
-    // LDST issue is counted per global L1 access, so shared-memory ops
-    // pay none (the other cores count it per memory op).
+    // LDST issue is counted per taken-path memory op, global (its L1
+    // access) or shared (its scratchpad word), as the other cores do.
     ev.intOps = injections * ck->opsInt;
     ev.fpOps = injections * ck->opsFp;
     ev.scuOps = injections * ck->opsScu;
-    ev.ldstIssues = ms.l1().stats().accesses();
+    ev.ldstIssues = ms.l1().stats().accesses() + ev.sharedWords;
     ev.tokenRws = injections * ck->edges;
     ev.tokenHops = injections * ck->hops;
     ev.configuredUnits = uint64_t(cfg_.grid.numUnits());

@@ -290,6 +290,19 @@ TEST(FaultInjection, StallTripsWallClockDeadline)
               std::string::npos);
 }
 
+TEST(FaultInjection, DeadlinePastTheClockRangeNeverFires)
+{
+    // A budget too large to add to the anchor (about 3,170 years, and
+    // 2^64 - 1 ms) once overflowed the steady_clock arithmetic and
+    // expired on the first poll.
+    for (double ms : {1e14, 18446744073709551615.0}) {
+        WatchdogConfig wd;
+        wd.deadlineMs = ms;
+        Watchdog w(wd, "huge");
+        EXPECT_NO_THROW(w.poll(0, 0, 0)) << ms;
+    }
+}
+
 TEST(FaultInjection, ThrowingCallbacksAreGuarded)
 {
     // An onResult that throws must not std::terminate the worker; the

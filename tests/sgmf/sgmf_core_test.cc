@@ -172,5 +172,28 @@ TEST(SgmfCore, NoLvcOrCvtEnergy)
     EXPECT_GT(rs.energy.get(EnergyComponent::TokenFabric), 0.0);
 }
 
+TEST(SgmfCore, SharedMemoryOpsPayLdstIssue)
+{
+    // Every thread loads one global word, stores and loads one shared
+    // word and stores one global word: four LDST issues each, two of
+    // them to the scratchpad.
+    const int cta = 32, ctas = 2, n = cta * ctas;
+    Kernel k = testing::makeBarrierKernel(cta);
+    ASSERT_TRUE(SgmfCore{}.supports(k));
+    MemoryImage mem;
+    const uint32_t in = mem.allocWords(n);
+    const uint32_t out = mem.allocWords(n);
+    LaunchParams lp;
+    lp.numCtas = ctas;
+    lp.ctaSize = cta;
+    lp.params = {Scalar::fromU32(in), Scalar::fromU32(out)};
+    TraceSet traces = Interpreter{}.run(k, lp, mem);
+    RunStats rs = SgmfCore{}.run(traces);
+    ASSERT_TRUE(rs.supported);
+    EXPECT_EQ(rs.events.sharedWords, uint64_t(2 * n));
+    EXPECT_EQ(rs.l1Stats.accesses(), uint64_t(2 * n));
+    EXPECT_EQ(rs.events.ldstIssues, uint64_t(4 * n));
+}
+
 } // namespace
 } // namespace vgiw
