@@ -1,8 +1,9 @@
 /**
  * @file
- * Every paper figure from one suite sweep (see paper_figures.hh). Takes
- * no arguments; exits 1 if a comparison failed or a figure left its
- * band.
+ * Every table, figure and ablation (see paper_figures.hh) from one
+ * engine: the suite comparison, then the ablation jobs replayed from
+ * the same trace cache. Takes no arguments; exits 1 if a job failed or
+ * a check is OUT.
  */
 
 #include "paper_figures.hh"
@@ -15,6 +16,10 @@ main()
     std::vector<std::string> names;
     for (const auto &entry : workloadRegistry())
         names.push_back(entry.name);
-    return bench::renderPaperFigures(stdout,
-                                     ExperimentEngine{}.compare(names));
+    const Kernel switch_kernel = bench::buildSwitchKernel();
+    ExperimentEngine engine;
+    bench::PaperResults r;
+    r.suite = engine.compare(names, r.config);
+    r.ablations = engine.run(bench::ablationJobs(r.config, switch_kernel));
+    return bench::renderPaperFigures(stdout, r);
 }
