@@ -41,6 +41,19 @@ append(std::vector<uint8_t> &out, uint64_t v)
     out.push_back(uint8_t(v));
 }
 
+/** Write @p v as an LEB128 varint at @p p, which must have room for
+ * it (at most 10 bytes); returns the byte past it. */
+inline uint8_t *
+put(uint8_t *p, uint64_t v)
+{
+    while (v >= 0x80) {
+        *p++ = uint8_t(v) | 0x80;
+        v >>= 7;
+    }
+    *p++ = uint8_t(v);
+    return p;
+}
+
 /** Decode one varint at @p p, advancing it. No bounds checks: streams
  * are trusted (produced by the encoder in the same process). */
 inline uint64_t

@@ -222,13 +222,17 @@ struct Src
  * live-out, then the branch condition. Result columns are allocated per
  * block by a linear scan: a register column is free again once its
  * last reader has run, so a block needs only as many as it has results
- * live at once.
+ * live at once. Each block's memory instructions also get their trace
+ * kind, `isShared << 1 | isStore`, in order.
  */
 struct Program
 {
     std::vector<Src> srcs;
     std::vector<uint32_t> firstSrc;  ///< per block, index into srcs
     uint32_t numCols = kLocalCol;    ///< lane-buffer columns needed
+    std::vector<uint8_t> memKinds;
+    std::vector<uint32_t> firstMem;  ///< per block and one past the last
+    uint32_t maxMem = 0;             ///< most memory instrs in a block
 
     Program(const Kernel &k, const LaunchParams &launch)
     {
@@ -277,6 +281,17 @@ struct Program
         };
 
         for (const BasicBlock &b : k.blocks) {
+            firstMem.push_back(uint32_t(memKinds.size()));
+            for (const Instr &in : b.instrs) {
+                if (in.isMemory()) {
+                    memKinds.push_back(
+                        uint8_t((in.space == MemSpace::Shared) << 1 |
+                                (in.op == Opcode::Store)));
+                }
+            }
+            maxMem = std::max(maxMem,
+                              uint32_t(memKinds.size()) - firstMem.back());
+
             const size_t n = b.instrs.size();
             // Live-outs and the branch condition read at the block's end.
             last.assign(n, kUnread);
@@ -320,6 +335,7 @@ struct Program
             srcs.push_back(decode(b.term.cond));
             numCols = std::max(numCols, next_col);
         }
+        firstMem.push_back(uint32_t(memKinds.size()));
     }
 };
 
@@ -345,8 +361,13 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
     const uint32_t *const lane_tid = lanes + kTidCol * kStrip;
     const uint32_t *const lane_cta = lanes + (kTidCol + 2) * kStrip;
 
-    // The block-vector schedule below interleaves threads; the writer
-    // encodes each thread's streams as its executions arrive.
+    // Each memory instruction's address column for the strip, in
+    // instruction order. The block-vector schedule below interleaves
+    // threads; the writer encodes each thread's streams as its
+    // executions arrive, one call per lane with that lane's addresses.
+    std::vector<uint32_t> addr_buf(size_t(std::max(prog.maxMem, 1u)) *
+                                   kStrip);
+    uint32_t *const addrs = addr_buf.data();
     TraceWriter trace(num_threads);
 
     const size_t num_lv = size_t(k.numLiveValues);
@@ -362,6 +383,13 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
     for (int b = 0; b < num_blocks; ++b)
         pending.emplace_back(size_t(num_threads));
     pending[0].setFirstN(size_t(num_threads));
+    // No block below this one has pending threads: the pick scans from
+    // it, so a long chain of blocks is not scanned once per block.
+    int lowest = 0;
+    auto make_pending = [&](uint32_t tid, int succ) {
+        pending[succ].set(tid);
+        lowest = std::min(lowest, succ);
+    };
 
     // Barrier bookkeeping. A pool collects the threads of one CTA that
     // arrived at one barrier-terminated block; it releases (each thread to
@@ -382,7 +410,7 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
             if (!p.arrivals.empty() &&
                 int(p.arrivals.size()) == live_in_cta[cta]) {
                 for (auto [tid, succ] : p.arrivals)
-                    pending[succ].set(tid);
+                    make_pending(tid, succ);
                 waiting_threads -= int(p.arrivals.size());
                 p.arrivals.clear();
             }
@@ -409,7 +437,7 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
 
     while (true) {
         int next = -1;
-        for (int b = 0; b < num_blocks; ++b) {
+        for (int b = lowest; b < num_blocks; ++b) {
             if (pending[b].any()) {
                 next = b;
                 break;
@@ -422,9 +450,13 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
             }
             break;
         }
+        lowest = next;
 
         const BasicBlock &blk = k.blocks[next];
         const Src *const block_srcs = prog.srcs.data() + prog.firstSrc[next];
+        const uint8_t *const kinds =
+            prog.memKinds.data() + prog.firstMem[next];
+        const uint32_t num_mem = prog.firstMem[next + 1] - prog.firstMem[next];
         const size_t num_tids = pending[next].drainToIndices(tids.data());
 
         total_execs += num_tids;
@@ -446,6 +478,7 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
                 }
             }
             const Src *src = block_srcs;
+            uint32_t *addr_col = addrs;
 
             for (const Instr &in : blk.instrs) {
                 uint32_t *const out = lanes + src[0].v * kStrip;
@@ -464,8 +497,9 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
                         } else {
                             out[l] = mem.loadWord(addr[l]);
                         }
-                        trace.access(lane_tid[l], addr[l], false, is_shared);
                     }
+                    std::copy_n(addr, n, addr_col);
+                    addr_col += kStrip;
                 } else if (in.op == Opcode::Store) {
                     const uint32_t *const addr = column(opnd[0], 0, n);
                     const uint32_t *const val = column(opnd[1], 1, n);
@@ -479,8 +513,9 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
                         } else {
                             mem.storeWord(addr[l], val[l]);
                         }
-                        trace.access(lane_tid[l], addr[l], true, is_shared);
                     }
+                    std::copy_n(addr, n, addr_col);
+                    addr_col += kStrip;
                     std::fill_n(out, n, 0u);
                 } else {
                     const int arity = opcodeArity(in.op);
@@ -520,18 +555,21 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
                     break;
                 }
 
-                trace.exec(tid, next, succ);
+                trace.block(tid, next, succ, addrs + l, kStrip, kinds,
+                            num_mem);
 
                 if (succ < 0) {
                     --live_in_cta[cta];
                     release_ready_pools(int(cta));
                 } else if (blk.term.barrier) {
                     BarrierPool &p = pools[size_t(cta) * num_blocks + next];
+                    if (p.arrivals.empty())
+                        p.arrivals.reserve(cta_size);
                     p.arrivals.emplace_back(tid, succ);
                     ++waiting_threads;
                     release_ready_pools(int(cta));
                 } else {
-                    pending[succ].set(tid);
+                    make_pending(tid, succ);
                 }
             }
         }

@@ -14,7 +14,8 @@
  * every lane of the strip before the next one starts. Loads and stores
  * issue lane by lane in tid order; then the live-outs are written in
  * list order, the branch condition is read, and each lane's terminator
- * runs, again in tid order.
+ * runs and hands its execution, with its accesses, to the trace writer,
+ * again in tid order.
  *
  * Ordering rule. Each thread's own order of operations is the program
  * order, so every per-thread trace stream is what a thread-at-a-time

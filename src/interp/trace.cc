@@ -3,30 +3,86 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <new>
 
 
 namespace vgiw
 {
 
-TraceWriter::TraceWriter(size_t num_threads) : threads_(num_threads)
+namespace
 {
-    // First capacities sized to the common short thread: with them
-    // most threads never regrow either stream.
-    for (Thread &t : threads_) {
-        t.execBytes.reserve(32);
-        t.accessBytes.reserve(64);
+
+// The most bytes one TraceWriter::block() call writes. Its tuple closes
+// at most two exec tokens, and the largest token is a literal: varints
+// of a 16-bit block delta, a 16-bit successor delta and a 32-bit access
+// count (3 + 3 + 5 bytes). An access is one varint of a zigzagged
+// 33-bit delta shifted left by 2 (5 bytes).
+constexpr size_t kExecRoom = 2 * 11;
+constexpr size_t kAccessBytes = 5;
+
+// A thread's first chunk of each stream holds this many payload bytes,
+// and each next one twice the last, up to kMaxChunk (or more when one
+// block's accesses need it). Chunks are carved from kSlabBytes slabs.
+constexpr uint32_t kFirstChunk = 32;
+constexpr uint32_t kMaxChunk = 4096;
+constexpr size_t kSlabBytes = size_t(64) << 10;
+
+} // namespace
+
+TraceWriter::TraceWriter(size_t num_threads) : threads_(num_threads) {}
+
+void
+TraceWriter::block(uint32_t tid, int block, int succ, const uint32_t *addrs,
+                   size_t stride, const uint8_t *kinds, uint32_t m)
+{
+    Thread &t = threads_[tid];
+    const size_t access_room = size_t(m) * kAccessBytes;
+    if (size_t(t.exec.end - t.exec.pos) < kExecRoom) [[unlikely]]
+        grow(t.exec, kExecRoom);
+    if (size_t(t.access.end - t.access.pos) < access_room) [[unlikely]]
+        grow(t.access, access_room);
+
+    uint8_t *p = t.access.pos;
+    for (uint32_t i = 0; i < m; ++i) {
+        const uint32_t addr = addrs[i * stride];
+        uint32_t &prev = t.prevAddr[kinds[i] >> 1];
+        p = varint::put(p, varint::zigzag(int64_t(addr) - int64_t(prev))
+                                   << 2 |
+                               kinds[i]);
+        prev = addr;
     }
+    t.access.pos = p;
+    t.numAccesses += m;
+
+    const uint32_t j = t.seen++;
+    t.ring[j & 7] = Tup{uint16_t(block), int16_t(succ), m};
+    scan(t, j);
 }
 
 void
-TraceWriter::exec(uint32_t tid, int block, int succ)
+TraceWriter::grow(Stream &s, size_t need)
 {
-    Thread &t = threads_[tid];
-    const uint32_t j = t.seen++;
-    t.ring[j & 7] = Tup{uint16_t(block), int16_t(succ),
-                        t.numAccesses - t.accessesAtExec};
-    t.accessesAtExec = t.numAccesses;
-    scan(t, j);
+    const uint32_t next =
+        s.tail ? std::min(2 * s.tail->cap, kMaxChunk) : kFirstChunk;
+    const size_t cap = std::max(size_t(next), (need + 7) & ~size_t(7));
+    const size_t bytes = sizeof(Chunk) + cap;
+    if (size_t(slabEnd_ - slabPos_) < bytes) {
+        const size_t n = std::max(bytes, kSlabBytes);
+        slabs_.push_back(std::make_unique_for_overwrite<uint8_t[]>(n));
+        slabPos_ = slabs_.back().get();
+        slabEnd_ = slabPos_ + n;
+    }
+    Chunk *const c = new (slabPos_) Chunk{nullptr, uint32_t(cap), 0};
+    slabPos_ += bytes;
+    if (s.tail) {
+        s.tail->used = uint32_t(s.pos - s.tail->payload());
+        s.tail->next = c;
+    } else {
+        s.head = c;
+    }
+    s.tail = c;
+    s.pos = c->payload();
+    s.end = s.pos + cap;
 }
 
 void
@@ -64,7 +120,8 @@ TraceWriter::emitRun(Thread &t, uint32_t len)
     // Every surviving candidate has this length: ties go to the
     // shortest distance, whose token is smallest.
     const uint32_t dist = uint32_t(std::countr_zero(t.alive)) + 1;
-    varint::append(t.execBytes, (uint64_t(len) << 2 | (dist - 1)) << 1 | 1);
+    t.exec.pos = varint::put(t.exec.pos,
+                             (uint64_t(len) << 2 | (dist - 1)) << 1 | 1);
 }
 
 void
@@ -72,16 +129,30 @@ TraceWriter::emitLiteral(Thread &t, uint32_t j)
 {
     const Tup &c = t.ring[j & 7];
     const int32_t prev_block = j ? int32_t(t.ring[(j - 1) & 7].block) : 0;
-    varint::append(t.execBytes,
-                   varint::zigzag(int64_t(c.block) - prev_block) << 1);
-    varint::append(t.execBytes,
-                   varint::zigzag(int64_t(c.succ) - int64_t(c.block)));
-    varint::append(t.execBytes, c.nacc);
+    uint8_t *p = t.exec.pos;
+    p = varint::put(p, varint::zigzag(int64_t(c.block) - prev_block) << 1);
+    p = varint::put(p, varint::zigzag(int64_t(c.succ) - int64_t(c.block)));
+    t.exec.pos = varint::put(p, c.nacc);
 }
 
 TraceSet
 TraceWriter::finish(const Kernel *kernel, const LaunchParams &launch)
 {
+    // Seals @p s (the open chunk's length goes into its header) and
+    // returns how many bytes its chain holds.
+    auto seal = [](Stream &s) {
+        uint64_t n = 0;
+        if (s.tail)
+            s.tail->used = uint32_t(s.pos - s.tail->payload());
+        for (const Chunk *c = s.head; c; c = c->next)
+            n += c->used;
+        return n;
+    };
+    auto append = [](const Stream &s, std::vector<uint8_t> &out) {
+        for (Chunk *c = s.head; c; c = c->next)
+            out.insert(out.end(), c->payload(), c->payload() + c->used);
+    };
+
     TraceSet ts;
     ts.kernel = kernel;
     ts.launch = launch;
@@ -91,12 +162,14 @@ TraceWriter::finish(const Kernel *kernel, const LaunchParams &launch)
         // The open token's candidates all match to the end: a run of
         // the remaining tuples, or a literal if only one remains.
         const uint32_t len = t.seen - t.start;
+        if (len && size_t(t.exec.end - t.exec.pos) < kExecRoom)
+            grow(t.exec, kExecRoom);
         if (len >= 2)
             emitRun(t, len);
         else if (len == 1)
             emitLiteral(t, t.start);
-        exec_len += t.execBytes.size();
-        access_len += t.accessBytes.size();
+        exec_len += seal(t.exec);
+        access_len += seal(t.access);
     }
     ts.execBytes_.reserve(exec_len);
     ts.accessBytes_.reserve(access_len);
@@ -107,14 +180,13 @@ TraceWriter::finish(const Kernel *kernel, const LaunchParams &launch)
         ix.accessOff = ts.accessBytes_.size();
         ix.numExecs = t.seen;
         ix.numAccesses = t.numAccesses;
-        ts.execBytes_.insert(ts.execBytes_.end(), t.execBytes.begin(),
-                             t.execBytes.end());
-        ts.accessBytes_.insert(ts.accessBytes_.end(),
-                               t.accessBytes.begin(), t.accessBytes.end());
+        append(t.exec, ts.execBytes_);
+        append(t.access, ts.accessBytes_);
         ts.totalExecs_ += t.seen;
         ts.totalAccesses_ += t.numAccesses;
     }
     threads_.clear();
+    slabs_.clear();
     return ts;
 }
 
@@ -123,14 +195,20 @@ TraceSet::fromThreads(const Kernel *kernel, const LaunchParams &launch,
                       const std::vector<ThreadTrace> &threads)
 {
     TraceWriter w(threads.size());
+    std::vector<uint32_t> addrs;
+    std::vector<uint8_t> kinds;
     for (size_t tid = 0; tid < threads.size(); ++tid) {
         const ThreadTrace &t = threads[tid];
         for (const BlockExec &e : t.execs) {
+            addrs.clear();
+            kinds.clear();
             for (uint32_t k = e.accessBegin; k < e.accessEnd; ++k) {
                 const MemAccess &a = t.accesses[k];
-                w.access(uint32_t(tid), a.addr, a.isStore, a.isShared);
+                addrs.push_back(a.addr);
+                kinds.push_back(uint8_t(a.isShared << 1 | a.isStore));
             }
-            w.exec(uint32_t(tid), e.block, e.succ);
+            w.block(uint32_t(tid), e.block, e.succ, addrs.data(), 1,
+                    kinds.data(), uint32_t(addrs.size()));
         }
     }
     return w.finish(kernel, launch);

@@ -15,9 +15,10 @@
  * repetition that dominates real control flow, and the replay models
  * read them through forward-only ThreadCursor decoders — replay order
  * is strictly sequential per thread in all four models, so nothing
- * ever needs random access. The streams are written online: the
- * interpreter feeds every access and block execution to a TraceWriter
- * as it happens, so no raw per-thread arrays are ever built.
+ * ever needs random access. The streams are written online: as each
+ * strip of a block vector finishes, the interpreter hands a TraceWriter
+ * one call per lane with that execution's accesses, so no raw
+ * per-thread arrays are ever built.
  *
  * Encoded format (per thread, two independent streams):
  *
@@ -375,11 +376,9 @@ class TraceSet
 
 /**
  * Online encoder: builds a TraceSet while the threads of a launch run,
- * in any interleaving. Each thread reports its accesses with access()
- * as it issues them and closes every block execution with exec(); the
- * execution's access count is the number of access() calls since the
- * thread's previous exec(). finish() concatenates the per-thread
- * streams.
+ * in any interleaving. Each thread reports every finished block
+ * execution with one block() call carrying the accesses it issued, in
+ * order; finish() concatenates the per-thread streams.
  *
  * The exec stream is the greedy one: at each token start, take the
  * longest run of the last 1..4 tuples (ties to the shortest distance,
@@ -393,27 +392,27 @@ class TraceSet
  * that broke it, then opens the next token. A ring of the last 8
  * tuples covers it, the token start and the 4 tuples each compares
  * against.
+ *
+ * Each stream is a chain of chunks carved from writer-owned slabs: a
+ * thread's first chunk is small, each next one twice the last up to a
+ * cap, and one room check per stream and block() call covers all that
+ * call writes, so the varints are written through a raw pointer. A launch of any size
+ * allocates one 64 KB slab per 64 KB of chunks, not a buffer per
+ * thread.
  */
 class TraceWriter
 {
   public:
     explicit TraceWriter(size_t num_threads);
 
-    /** Thread @p tid issued one access within its current execution. */
-    void
-    access(uint32_t tid, uint32_t addr, bool is_store, bool is_shared)
-    {
-        Thread &t = threads_[tid];
-        uint32_t &prev = t.prevAddr[is_shared ? 1 : 0];
-        varint::append(t.accessBytes,
-                       varint::zigzag(int64_t(addr) - int64_t(prev)) << 2 |
-                           uint64_t(is_shared) << 1 | uint64_t(is_store));
-        prev = addr;
-        ++t.numAccesses;
-    }
-
-    /** Thread @p tid finished one execution of @p block. */
-    void exec(uint32_t tid, int block, int succ);
+    /**
+     * Thread @p tid finished one execution of @p block, going on to
+     * @p succ (-1: exit), after issuing @p m accesses: access i is to
+     * address addrs[i * stride] and of kind kinds[i], which is
+     * `isShared << 1 | isStore`.
+     */
+    void block(uint32_t tid, int block, int succ, const uint32_t *addrs,
+               size_t stride, const uint8_t *kinds, uint32_t m);
 
     /** Close every thread's streams; the writer is spent afterwards. */
     TraceSet finish(const Kernel *kernel, const LaunchParams &launch);
@@ -428,19 +427,39 @@ class TraceWriter
         bool operator==(const Tup &) const = default;
     };
 
+    /** One piece of a stream: this header, then cap payload bytes. */
+    struct Chunk
+    {
+        Chunk *next = nullptr;
+        uint32_t cap = 0;
+        uint32_t used = 0;  ///< payload bytes written, once closed
+
+        uint8_t *payload() { return reinterpret_cast<uint8_t *>(this + 1); }
+    };
+
+    /** One stream: its chain of chunks and the open one's room. */
+    struct Stream
+    {
+        uint8_t *pos = nullptr;  ///< next byte to write
+        uint8_t *end = nullptr;  ///< end of the open chunk's payload
+        Chunk *head = nullptr;
+        Chunk *tail = nullptr;   ///< the open chunk
+    };
+
     struct Thread
     {
-        std::vector<uint8_t> execBytes;
-        std::vector<uint8_t> accessBytes;
+        Stream exec;
+        Stream access;
         uint32_t prevAddr[2] = {0, 0};  ///< [global, shared] delta chains
         Tup ring[8];          ///< tuple j lives at ring[j & 7]
         uint32_t seen = 0;    ///< tuples (block executions) so far
         uint32_t start = 0;   ///< first tuple of the open token
         uint32_t numAccesses = 0;
-        uint32_t accessesAtExec = 0;  ///< numAccesses at the last exec()
         uint8_t alive = 0;    ///< bit d-1: the distance-d run still matches
     };
 
+    /** Open a chunk on @p s with room for at least @p need bytes. */
+    void grow(Stream &s, size_t need);
     /** Extend thread @p t's open token with tuple @p j. */
     static void scan(Thread &t, uint32_t j);
     /** Close the open token as a run of @p len tuples. */
@@ -449,6 +468,9 @@ class TraceWriter
     static void emitLiteral(Thread &t, uint32_t j);
 
     std::vector<Thread> threads_;
+    std::vector<std::unique_ptr<uint8_t[]>> slabs_;
+    uint8_t *slabPos_ = nullptr;  ///< unused part of the newest slab
+    uint8_t *slabEnd_ = nullptr;
 };
 
 } // namespace vgiw

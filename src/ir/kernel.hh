@@ -81,6 +81,10 @@ struct BasicBlock
 /** A compiled kernel: blocks indexed by block ID, entry at ID 0. */
 struct Kernel
 {
+    /** Most blocks a kernel may have: traces hold a successor as a
+     * signed 16-bit id, -1 meaning exit, so the last id is 32,767. */
+    static constexpr int kMaxBlocks = 32768;
+
     std::string name;
     std::vector<BasicBlock> blocks;
     int numParams = 0;

@@ -58,6 +58,10 @@ verifyKernel(const Kernel &k)
     const int n = k.numBlocks();
     if (n == 0)
         vgiw_fatal("kernel '", k.name, "' has no blocks");
+    if (n > Kernel::kMaxBlocks) {
+        vgiw_fatal("kernel '", k.name, "' has ", n, " blocks, more than the ",
+                   Kernel::kMaxBlocks, " a trace can hold");
+    }
 
     // -- Structure: targets in range; arity; local operand ordering.
     for (int bid = 0; bid < n; ++bid) {

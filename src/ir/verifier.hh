@@ -15,7 +15,8 @@ namespace vgiw
  * Validate @p kernel, calling vgiw_fatal() with a diagnostic on the first
  * violation found. Checks performed:
  *
- *  - the entry block exists and branch targets are in range;
+ *  - the entry block exists, there are at most Kernel::kMaxBlocks
+ *    blocks, and branch targets are in range;
  *  - block numbering is a valid reverse post-order (every forward edge
  *    goes to a larger ID; back edges, and only back edges, go to smaller
  *    or equal IDs that dominate a loop);

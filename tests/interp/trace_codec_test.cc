@@ -7,8 +7,9 @@
  * the shapes the run code exists for (tight loops) actually compress,
  * that the exec-only blockExecCount walk matches a full decode, and that
  * the online TraceWriter emits exactly the bytes of the offline greedy
- * encoder it replaced, kept here as the oracle, and that a cursor never
- * reads one execution's accesses as another's.
+ * encoder it replaced, kept here as the oracle, also when many threads
+ * write interleaved and a stream's chunks fill to their room checks,
+ * and that a cursor never reads one execution's accesses as another's.
  */
 
 #include <gtest/gtest.h>
@@ -382,6 +383,85 @@ TEST(TraceCodec, OnlineWriterMatchesGreedyOracle)
             .serializeInto(got);
         ASSERT_EQ(got, oracleBlob(threads)) << "round " << round;
     }
+}
+
+/**
+ * Encode @p threads through one TraceWriter a block execution at a
+ * time, round-robin over the threads, so that their chunks interleave
+ * in the writer's slabs. Addresses sit in a column of stride 3, as the
+ * interpreter's strip columns are strided.
+ */
+TraceSet
+writeInterleaved(const std::vector<ThreadTrace> &threads)
+{
+    TraceWriter w(threads.size());
+    std::vector<uint32_t> addrs;
+    std::vector<uint8_t> kinds;
+    for (size_t i = 0;; ++i) {
+        bool wrote = false;
+        for (size_t tid = 0; tid < threads.size(); ++tid) {
+            const ThreadTrace &t = threads[tid];
+            if (i >= t.execs.size())
+                continue;
+            const BlockExec &e = t.execs[i];
+            const uint32_t m = e.accessEnd - e.accessBegin;
+            addrs.assign(3 * size_t(m), 0xdeadbeef);
+            kinds.clear();
+            for (uint32_t k = 0; k < m; ++k) {
+                const MemAccess &a = t.accesses[e.accessBegin + k];
+                addrs[3 * k] = a.addr;
+                kinds.push_back(uint8_t(a.isShared << 1 | a.isStore));
+            }
+            w.block(uint32_t(tid), e.block, e.succ, addrs.data(), 3,
+                    kinds.data(), m);
+            wrote = true;
+        }
+        if (!wrote)
+            return w.finish(nullptr, LaunchParams{});
+    }
+}
+
+TEST(TraceCodec, WriterChunkBoundariesMatchOracle)
+{
+    // Thread 0 writes the widest tokens the writer's room checks allow
+    // for. Its execs are literal-only with multi-byte block and
+    // successor deltas: blocks A B C A B E repeat, so every third
+    // tuple matches the one 3 back, the next one breaks that run at
+    // length 1, and one block() call closes two literals. Its accesses
+    // alternate between 0 and 0xFFFFFFFC, each a 5-byte varint. Its
+    // streams grow past 10 KB, so they chain chunk after chunk to the
+    // cap and across slabs, and one execution of 1,000 accesses needs
+    // a chunk above the cap.
+    std::mt19937_64 rng(77);
+    std::vector<ThreadTrace> threads(5);
+    ThreadTrace &wide = threads[0];
+    const int cycle[6] = {0, 7000, 14000, 0, 7000, 28000};
+    const int n = 1600;
+    for (int i = 0; i < n; ++i) {
+        BlockExec e;
+        e.block = uint16_t(cycle[i % 6]);
+        e.succ = int16_t(i + 1 < n ? cycle[(i + 1) % 6] : -1);
+        e.accessBegin = uint32_t(wide.accesses.size());
+        const uint32_t m = i == 900 ? 1000 : e.block == 14000 ? 0 : 8;
+        for (uint32_t k = 0; k < m; ++k) {
+            MemAccess a;
+            a.addr = wide.accesses.size() % 2 ? 0xFFFFFFFCu : 0u;
+            a.isStore = rng() % 2;
+            wide.accesses.push_back(a);
+        }
+        e.accessEnd = uint32_t(wide.accesses.size());
+        wide.execs.push_back(e);
+    }
+    for (size_t tid = 1; tid < threads.size(); ++tid)
+        threads[tid] = tid % 2 ? loopyTrace(rng) : randomTrace(rng);
+
+    const TraceSet ts = writeInterleaved(threads);
+    ASSERT_GT(ts.numAccesses(0) * 5, 10000u);
+    std::string got;
+    ts.serializeInto(got);
+    EXPECT_EQ(got, oracleBlob(threads));
+    for (uint32_t tid = 0; tid < threads.size(); ++tid)
+        expectEqual(threads[tid], ts.decodeThread(tid));
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "interp/interpreter.hh"
 #include "ir/verifier.hh"
 
 namespace vgiw
@@ -112,6 +113,57 @@ TEST(VerifierInternal, RejectsBranchWithoutCondition)
     k.blocks[0].term.target[1] = 1;
     k.blocks[0].term.cond = Operand{};  // None
     EXPECT_THROW(verifyKernel(k), std::runtime_error);
+}
+
+/** @p n blocks, each jumping to the next; the last one exits. */
+Kernel
+jumpChain(int n)
+{
+    Kernel k;
+    k.name = "chain";
+    k.blocks.resize(size_t(n));
+    for (int b = 0; b < n; ++b) {
+        k.blocks[b].name = "b" + std::to_string(b);
+        k.blocks[b].term.kind = b + 1 < n ? TermKind::Jump : TermKind::Exit;
+        k.blocks[b].term.target[0] = b + 1 < n ? b + 1 : -1;
+    }
+    return k;
+}
+
+TEST(VerifierInternal, LargestTraceableChainRunsToItsExit)
+{
+    // Traces hold successors as signed 16-bit ids: with 32,768 blocks
+    // the last jump, to block 32,767, still decodes as itself.
+    const Kernel k = jumpChain(Kernel::kMaxBlocks);
+    ASSERT_NO_THROW(verifyKernel(k));
+    LaunchParams launch;
+    launch.numCtas = 1;
+    launch.ctaSize = 1;
+    MemoryImage mem;
+    const TraceSet ts = Interpreter{}.run(k, launch, mem);
+    ASSERT_EQ(ts.numExecs(0), uint32_t(Kernel::kMaxBlocks));
+    int want = 0;
+    for (ThreadCursor c = ts.thread(0); !c.done(); c.nextExec(), ++want) {
+        ASSERT_EQ(c.block(), want);
+        ASSERT_EQ(c.succ(), want + 1 < Kernel::kMaxBlocks ? want + 1 : -1);
+    }
+    EXPECT_EQ(want, Kernel::kMaxBlocks);
+}
+
+TEST(VerifierInternal, RejectsMoreBlocksThanATraceHolds)
+{
+    // One more block and block 32,767's successor, 32,768, would wrap
+    // to -32,768, which replay reads as a thread exit.
+    const Kernel k = jumpChain(Kernel::kMaxBlocks + 1);
+    try {
+        verifyKernel(k);
+        FAIL() << "a 32,769-block kernel verified";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("'chain'"), std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("32768"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(VerifierInternal, RejectsEmptyKernel)
