@@ -1,7 +1,7 @@
 /**
  * @file
  * Component microbenchmarks (google-benchmark): throughput of the
- * simulator's hot paths — CVT drain/update, LVC access, batch packing,
+ * simulator's hot paths — CVT drain/update, LVC access,
  * cache access, DFG construction + placement, functional interpretation
  * and full VGIW replay. These guard the "whole suite simulates in
  * seconds" property the evaluation workflow depends on.
@@ -36,23 +36,6 @@ BM_CvtDrainAndRefill(benchmark::State &state)
     state.SetItemsProcessed(int64_t(state.iterations()) * tile);
 }
 BENCHMARK(BM_CvtDrainAndRefill)->Arg(1024)->Arg(4096);
-
-void
-BM_BatchPacking(benchmark::State &state)
-{
-    Rng rng(3);
-    std::vector<uint32_t> tids;
-    for (uint32_t t = 0; t < 4096; ++t)
-        if (rng.chance(0.4f))
-            tids.push_back(t);
-    for (auto _ : state) {
-        auto batches = packBatches(tids);
-        benchmark::DoNotOptimize(batches);
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()) *
-                            int64_t(tids.size()));
-}
-BENCHMARK(BM_BatchPacking);
 
 void
 BM_LvcAccess(benchmark::State &state)

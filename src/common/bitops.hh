@@ -1,10 +1,10 @@
 /**
  * @file
  * The one bitmap helper shared across components: expanding a 64-bit
- * word of thread bits into ascending thread IDs. BitVector (and through
- * it the Control Vector Table's read-and-reset drain, Section 3.3) and
- * the <base, bitmap> batch packets (Section 3.2) both use it. Every
- * other word loop lives beside its caller as a plain scalar loop.
+ * word of thread bits into ascending thread IDs. BitVector's drain and
+ * the Control Vector Table's read-and-reset drain (Section 3.3) both
+ * use it. Every other word loop lives beside its caller as a plain
+ * scalar loop.
  */
 
 #ifndef VGIW_COMMON_BITOPS_HH

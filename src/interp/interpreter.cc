@@ -8,6 +8,7 @@
 
 #include "common/bit_vector.hh"
 #include "common/logging.hh"
+#include "interp/barrier_pools.hh"
 
 namespace vgiw
 {
@@ -391,31 +392,10 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
         lowest = std::min(lowest, succ);
     };
 
-    // Barrier bookkeeping. A pool collects the threads of one CTA that
-    // arrived at one barrier-terminated block; it releases (each thread to
-    // its own successor, which may differ under a divergent-but-uniformly-
-    // synchronised loop) once every live thread of the CTA has arrived.
-    std::vector<int> live_in_cta(launch.numCtas, launch.ctaSize);
-    struct BarrierPool
-    {
-        std::vector<std::pair<uint32_t, int>> arrivals;  // (tid, succ)
-    };
-    // Keyed by cta * num_blocks + barrier block id.
-    std::vector<BarrierPool> pools(size_t(launch.numCtas) * num_blocks);
-    int waiting_threads = 0;
-
-    auto release_ready_pools = [&](int cta) {
-        for (int b = 0; b < num_blocks; ++b) {
-            BarrierPool &p = pools[size_t(cta) * num_blocks + b];
-            if (!p.arrivals.empty() &&
-                int(p.arrivals.size()) == live_in_cta[cta]) {
-                for (auto [tid, succ] : p.arrivals)
-                    make_pending(tid, succ);
-                waiting_threads -= int(p.arrivals.size());
-                p.arrivals.clear();
-            }
-        }
-    };
+    // Barrier pools: a thread at the end of a barrier block waits until
+    // every live thread of its CTA has arrived.
+    BarrierPools pools(launch.numCtas, launch.ctaSize, num_blocks,
+                       k.hasBarrier());
 
     // The column of @p s for the strip's @p n lanes; gathers and
     // broadcasts fill operand scratch column @p slot.
@@ -444,9 +424,9 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
             }
         }
         if (next < 0) {
-            if (waiting_threads > 0) {
+            if (pools.waiting() > 0) {
                 vgiw_fatal("kernel '", k.name, "': barrier deadlock, ",
-                           waiting_threads, " threads waiting");
+                           pools.waiting(), " threads waiting");
             }
             break;
         }
@@ -540,7 +520,6 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
             // Terminators, lane by lane in tid order.
             for (size_t l = 0; l < n; ++l) {
                 const uint32_t tid = lane_tid[l];
-                const uint32_t cta = lane_cta[l];
                 int succ = -1;
                 switch (blk.term.kind) {
                   case TermKind::Jump:
@@ -558,19 +537,12 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
                 trace.block(tid, next, succ, addrs + l, kStrip, kinds,
                             num_mem);
 
-                if (succ < 0) {
-                    --live_in_cta[cta];
-                    release_ready_pools(int(cta));
-                } else if (blk.term.barrier) {
-                    BarrierPool &p = pools[size_t(cta) * num_blocks + next];
-                    if (p.arrivals.empty())
-                        p.arrivals.reserve(cta_size);
-                    p.arrivals.emplace_back(tid, succ);
-                    ++waiting_threads;
-                    release_ready_pools(int(cta));
-                } else {
+                if (succ < 0)
+                    pools.exit(tid, make_pending);
+                else if (blk.term.barrier)
+                    pools.arrive(tid, next, succ, make_pending);
+                else
                     make_pending(tid, succ);
-                }
             }
         }
     }

@@ -43,4 +43,11 @@ Kernel::totalInstrs() const
     return n;
 }
 
+bool
+Kernel::hasBarrier() const
+{
+    return std::any_of(blocks.begin(), blocks.end(),
+                       [](const BasicBlock &b) { return b.term.barrier; });
+}
+
 } // namespace vgiw

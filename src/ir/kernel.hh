@@ -95,6 +95,9 @@ struct Kernel
 
     /** Total static instruction count over all blocks. */
     int totalInstrs() const;
+
+    /** Whether any block ends in a CTA-level barrier. */
+    bool hasBarrier() const;
 };
 
 /** Parameters of one kernel launch. */

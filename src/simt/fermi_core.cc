@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/logging.hh"
@@ -22,12 +23,13 @@ namespace
 
 constexpr uint64_t kNever = std::numeric_limits<uint64_t>::max();
 
-/** Per-warp execution state. */
+/** Execution state of the warp in one resident warp slot. */
 struct Warp
 {
-    int cta = 0;
-    std::array<int, 32> tids{};  ///< global tid per lane, -1 = none
-    SimtStack stack{0, 0};
+    int id = 0;    ///< launch-wide warp ID
+    int slot = 0;  ///< CTA slot of its CTA
+    std::array<int, 32> lanes{};  ///< cursor slot per lane, -1 = none
+    SimtStack stack;
     size_t instrIdx = 0;
     bool blockStarted = false;
     uint64_t readyAt = 0;
@@ -217,7 +219,6 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
 
     const Kernel &k = *traces.kernel;
     const LaunchParams &launch = traces.launch;
-    const int num_threads = launch.numThreads();
 
     RunStats rs;
     rs.arch = "fermi";
@@ -228,44 +229,34 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     const PostDominators &pd = ck->pd;
     MemorySystem ms(fermiL1Geometry());
 
-    // One forward-only decode cursor per thread: block entry peeks the
-    // current exec, memory instructions pull its accesses lane by lane,
-    // and the terminator advances it.
-    std::vector<ThreadCursor> cursor(size_t{unsigned(num_threads)});
-    for (int t = 0; t < num_threads; ++t)
-        cursor[size_t(t)] = traces.thread(uint32_t(t));
-
-    // Build warps. CTAs are scheduled in order under the residency
-    // limits; warps of resident CTAs interleave on the issue port.
+    // CTAs are scheduled in order under the residency limits; warps of
+    // resident CTAs interleave on the issue port. CTAs [0, cta_hi) have
+    // been admitted, and each completing CTA admits the next one.
     const int warps_per_cta =
         (launch.ctaSize + cfg_.warpSize - 1) / cfg_.warpSize;
     const int total_warps = launch.numCtas * warps_per_cta;
-    std::vector<Warp> warps(static_cast<size_t>(total_warps));
-    for (int w = 0; w < total_warps; ++w) {
-        Warp &warp = warps[w];
-        warp.cta = w / warps_per_cta;
-        uint32_t mask = 0;
-        for (int lane = 0; lane < cfg_.warpSize; ++lane) {
-            const int in_cta =
-                (w % warps_per_cta) * cfg_.warpSize + lane;
-            const int tid = warp.cta * launch.ctaSize + in_cta;
-            warp.tids[lane] =
-                in_cta < launch.ctaSize && tid < num_threads ? tid : -1;
-            if (warp.tids[lane] >= 0)
-                mask |= uint32_t(1) << lane;
-        }
-        warp.stack = SimtStack(mask, 0);
-        warp.done = warp.stack.done();
-    }
-
-    // CTA residency: CTAs [0, cta_hi) have been admitted, and each
-    // completing CTA admits the next one.
-    int resident_ctas = std::min(
+    const int resident_ctas = std::min(
         {launch.numCtas, cfg_.maxResidentCtas,
          std::max(1, cfg_.maxResidentWarps / warps_per_cta)});
-    int cta_hi = resident_ctas;
-    std::vector<int> live_warps_in_cta(size_t(launch.numCtas),
-                                       warps_per_cta);
+    int cta_hi = 0;
+
+    // Replay state exists only for resident CTAs. CTA slot s holds warp
+    // slots [s*warps_per_cta, (s+1)*warps_per_cta), their SIMT stacks
+    // (fixed stretches of one buffer) and one forward-only decode
+    // cursor per thread: block entry peeks the current exec, memory
+    // instructions pull its accesses lane by lane, and the terminator
+    // advances it. A completed CTA's slot passes to the CTA it admits.
+    const size_t stack_cap = SimtStack::capacityFor(k.numBlocks());
+    const size_t warp_slots = size_t(resident_ctas) * size_t(warps_per_cta);
+    std::vector<SimtStack::Entry> stack_buf(warp_slots * stack_cap);
+    std::vector<Warp> warps(warp_slots);
+    for (size_t w = 0; w < warp_slots; ++w) {
+        warps[w].stack = SimtStack(
+            std::span(stack_buf).subspan(w * stack_cap, stack_cap), k.name);
+    }
+    std::vector<ThreadCursor> cursor(size_t(resident_ctas) *
+                                     size_t(launch.ctaSize));
+    std::vector<int> live_warps(static_cast<size_t>(resident_ctas));  // per slot
 
     uint64_t clock = 0;
     uint64_t active_lane_slots = 0;  // Fig. 1b: occupied lanes per issue
@@ -281,30 +272,57 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     uint64_t m_scans = 0;
     uint64_t m_scan_steps = 0;
 
-    // Scheduler candidates: the live warps of resident CTAs, ascending
-    // by ID. Residency is a prefix of CTA (hence warp) IDs, so an
-    // admitted CTA's warps append at the end and a completed warp is
-    // erased where it was picked: the list stays sorted with no search,
-    // and the pick scan is bounded by the resident window (<=
-    // maxResidentWarps), not the launch size.
+    // Scheduler candidates: the slots of the live warps of resident
+    // CTAs, in ascending warp-ID order. Residency is a prefix of CTA
+    // (hence warp) IDs, so an admitted CTA's warps append at the end
+    // and a completed warp is erased where it was picked: the list
+    // stays sorted with no search, and the pick scan is bounded by the
+    // resident window (<= maxResidentWarps), not the launch size.
     std::vector<int> resident;
-    resident.reserve(size_t(resident_ctas * warps_per_cta));
-    auto admit_cta = [&](int cta) {
-        for (int w = cta * warps_per_cta; w < (cta + 1) * warps_per_cta; ++w)
-            resident.push_back(w);
+    resident.reserve(warp_slots);
+    auto admit_cta = [&](int slot) {
+        const int cta = cta_hi++;
+        const int first_tid = cta * launch.ctaSize;
+        for (int t = 0; t < launch.ctaSize; ++t) {
+            cursor[size_t(slot * launch.ctaSize + t)] =
+                traces.thread(uint32_t(first_tid + t));
+        }
+        live_warps[size_t(slot)] = warps_per_cta;
+        for (int i = 0; i < warps_per_cta; ++i) {
+            const int ws = slot * warps_per_cta + i;
+            Warp &warp = warps[size_t(ws)];
+            warp.id = cta * warps_per_cta + i;
+            warp.slot = slot;
+            uint32_t mask = 0;
+            for (int lane = 0; lane < cfg_.warpSize; ++lane) {
+                const int in_cta = i * cfg_.warpSize + lane;
+                warp.lanes[lane] = in_cta < launch.ctaSize
+                                       ? slot * launch.ctaSize + in_cta
+                                       : -1;
+                if (warp.lanes[lane] >= 0)
+                    mask |= uint32_t(1) << lane;
+            }
+            warp.stack.reset(mask, 0);
+            warp.instrIdx = 0;
+            warp.blockStarted = false;
+            warp.readyAt = 0;
+            warp.atBarrier = false;
+            warp.done = warp.stack.done();
+            resident.push_back(ws);
+        }
     };
-    for (int cta = 0; cta < cta_hi; ++cta)
-        admit_cta(cta);
+    for (int slot = 0; slot < resident_ctas; ++slot)
+        admit_cta(slot);
     // Index in resident of the next round-robin candidate: the first
     // warp after the last pick in warp-ID order (past the end wraps to
     // the smallest ID).
     size_t next_idx = 0;
 
     // Barrier release: when every live warp of a CTA is waiting. A
-    // CTA's warps occupy the contiguous ID range [cta*warps_per_cta,
-    // (cta+1)*warps_per_cta).
-    auto try_release_barrier = [&](int cta) {
-        const int lo = cta * warps_per_cta;
+    // CTA's warps occupy the contiguous slot range [slot*warps_per_cta,
+    // (slot+1)*warps_per_cta).
+    auto try_release_barrier = [&](int slot) {
+        const int lo = slot * warps_per_cta;
         const int hi = lo + warps_per_cta;
         int waiting = 0, live = 0;
         for (int w = lo; w < hi; ++w) {
@@ -329,11 +347,11 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
         warp.done = true;
         resident.erase(resident.begin() + long(idx));
         next_idx = idx;  // its successor moved into the erased slot
-        if (--live_warps_in_cta[warp.cta] == 0) {
+        if (--live_warps[size_t(warp.slot)] == 0) {
             if (cta_hi < launch.numCtas)
-                admit_cta(cta_hi++);
+                admit_cta(warp.slot);
         } else {
-            try_release_barrier(warp.cta);  // it may have been the straggler
+            try_release_barrier(warp.slot);  // it may have been the straggler
         }
     };
 
@@ -390,13 +408,11 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
             for (int lane = 0; lane < 32; ++lane) {
                 if (!((mask >> lane) & 1))
                     continue;
-                const int tid = warp.tids[lane];
-                vgiw_assert(!cursor[size_t(tid)].done(),
+                const ThreadCursor &c = cursor[size_t(warp.lanes[lane])];
+                vgiw_assert(!c.done(),
                             "trace underrun (SIMT replay diverged)");
-                vgiw_assert(cursor[size_t(tid)].block() == b,
-                            "SIMT replay off-trace: warp ", pick,
-                            " block ", b, " trace ",
-                            cursor[size_t(tid)].block());
+                vgiw_assert(c.block() == b, "SIMT replay off-trace: warp ",
+                            warp.id, " block ", b, " trace ", c.block());
             }
             warp.blockStarted = true;
             warp.instrIdx = 0;
@@ -426,9 +442,8 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                     for (int lane = 0; lane < 32; ++lane) {
                         if (!((mask >> lane) & 1))
                             continue;
-                        const int tid = warp.tids[lane];
                         const MemAccess acc =
-                            cursor[size_t(tid)].nextAccess();
+                            cursor[size_t(warp.lanes[lane])].nextAccess();
                         ++bank[(acc.addr / 4) % 32];
                         ++ev.sharedWords;
                     }
@@ -448,9 +463,8 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                     for (int lane = 0; lane < 32; ++lane) {
                         if (!((mask >> lane) & 1))
                             continue;
-                        const int tid = warp.tids[lane];
                         const MemAccess acc =
-                            cursor[size_t(tid)].nextAccess();
+                            cursor[size_t(warp.lanes[lane])].nextAccess();
                         num_lines = int(insertSortedUnique(
                             lines.data(), size_t(num_lines),
                             acc.addr / 128));
@@ -506,8 +520,7 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
         for (int lane = 0; lane < 32; ++lane) {
             if (!((mask >> lane) & 1))
                 continue;
-            const int tid = warp.tids[lane];
-            ThreadCursor &c = cursor[size_t(tid)];
+            ThreadCursor &c = cursor[size_t(warp.lanes[lane])];
             const int succ = c.succ();
             c.nextExec();
             lane_succ[lane] =
@@ -533,7 +546,7 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
             on_warp_done(pick_idx);
         } else if (blk.term.barrier) {
             warp.atBarrier = true;
-            try_release_barrier(warp.cta);
+            try_release_barrier(warp.slot);
         }
     }
 

@@ -1,34 +1,48 @@
 #include "simt/simt_stack.hh"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/sim_error.hh"
 
 namespace vgiw
 {
 
-SimtStack::SimtStack(uint32_t initial_mask, int entry_block)
+void
+SimtStack::reset(uint32_t initial_mask, int entry_block)
 {
+    depth_ = 0;
     if (initial_mask)
-        stack_.push_back(Entry{entry_block, kReconvergeAtExit,
-                               initial_mask});
+        push(Entry{entry_block, kReconvergeAtExit, initial_mask});
+}
+
+void
+SimtStack::push(const Entry &e)
+{
+    if (depth_ == entries_.size()) {
+        throw SimError(SimErrorKind::Internal,
+                       "kernel '" + std::string(kernel_) +
+                           "': SIMT stack overflow past " +
+                           std::to_string(entries_.size()) + " entries");
+    }
+    entries_[depth_++] = e;
 }
 
 void
 SimtStack::dropEmptyTop()
 {
-    while (!stack_.empty() && stack_.back().mask == 0)
-        stack_.pop_back();
+    while (depth_ > 0 && entries_[depth_ - 1].mask == 0)
+        --depth_;
 }
 
 void
 SimtStack::advance(const std::array<int, 32> &lane_succ,
                    const PostDominators &pd)
 {
-    vgiw_assert(!stack_.empty(), "advance on a finished warp");
-    const Entry e = stack_.back();
-    stack_.pop_back();
+    vgiw_assert(depth_ > 0, "advance on a finished warp");
+    const Entry e = entries_[--depth_];
 
     // Partition the active lanes by successor block; exited lanes drop
     // out of the mask entirely. A 32-lane warp has at most 32 successor
@@ -65,16 +79,16 @@ SimtStack::advance(const std::array<int, 32> &lane_succ,
             // Reconvergence: the lanes rejoin the entry pushed when the
             // warp diverged. Sibling divergent entries may still sit
             // above it, so search downwards for pc == rpc.
-            for (auto it = stack_.rbegin(); it != stack_.rend(); ++it) {
-                if (it->pc == succ) {
-                    it->mask |= mask;
+            for (size_t i = depth_; i-- > 0;) {
+                if (entries_[i].pc == succ) {
+                    entries_[i].mask |= mask;
                     merged = true;
                     break;
                 }
             }
         }
         if (!merged)
-            stack_.push_back(Entry{succ, e.rpc, mask});
+            push(Entry{succ, e.rpc, mask});
         dropEmptyTop();
         return;
     }
@@ -86,19 +100,18 @@ SimtStack::advance(const std::array<int, 32> &lane_succ,
                                                        : ip;
 
     // Reconvergence entry (reuse the one below when it already targets
-    // the same block, which happens for back-to-back divergence). Track
-    // it by index: pushes may reallocate the stack.
+    // the same block, which happens for back-to-back divergence).
     long reconv = -1;
     if (rpc != kReconvergeAtExit) {
-        for (long i = long(stack_.size()) - 1; i >= 0; --i) {
-            if (stack_[i].pc == rpc) {
+        for (long i = long(depth_) - 1; i >= 0; --i) {
+            if (entries_[size_t(i)].pc == rpc) {
                 reconv = i;
                 break;
             }
         }
         if (reconv < 0) {
-            stack_.push_back(Entry{rpc, e.rpc, 0});
-            reconv = long(stack_.size()) - 1;
+            push(Entry{rpc, e.rpc, 0});
+            reconv = long(depth_) - 1;
         }
     }
 
@@ -112,9 +125,9 @@ SimtStack::advance(const std::array<int, 32> &lane_succ,
     for (size_t g = 0; g < ngroups; ++g) {
         const auto [succ, mask] = groups[g];
         if (reconv >= 0 && succ == rpc)
-            stack_[size_t(reconv)].mask |= mask;
+            entries_[size_t(reconv)].mask |= mask;
         else
-            stack_.push_back(Entry{succ, rpc, mask});
+            push(Entry{succ, rpc, mask});
     }
     dropEmptyTop();
 }

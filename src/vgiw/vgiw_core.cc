@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "common/metrics.hh"
 #include "common/scratch_set.hh"
 #include "common/sim_error.hh"
+#include "interp/barrier_pools.hh"
 #include "ir/op_counts.hh"
 #include "mem/bank_merge.hh"
 #include "mem/memory_system.hh"
@@ -251,21 +253,27 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     EnergyEvents &ev = rs.events;
     const int reconfig_cost = reconfigCycles(cfg_.grid.numUnits());
 
-    // One forward-only decode cursor per thread; the BBS consumes each
-    // thread's trace strictly in order, one block execution per drain.
-    std::vector<ThreadCursor> cursor(size_t{unsigned(num_threads)});
-    for (int t = 0; t < num_threads; ++t)
-        cursor[size_t(t)] = traces.thread(uint32_t(t));
     BankMergeModel l1_banks_model(l1_banks);
     BankMergeModel shared_banks_model(32);
 
-    // Per-core replay scratch, allocated once and reused for every
-    // scheduled block vector: the hot loop itself is allocation-free.
-    std::vector<std::vector<uint32_t>> succ_tids(
-        static_cast<size_t>(num_blocks));
-    std::vector<uint32_t> rel_tids;   // CVT drain buffer
-    std::vector<uint32_t> gtids;      // observer scratch
-    std::vector<ThreadBatch> batches; // terminator CVU packets
+    // Per-job replay state, sized once for the largest tile and reset
+    // for each tile: nothing in the loops below allocates.
+    const int tile = tileSizeFor(k, launch);
+    ControlVectorTable cvt(num_blocks, tile, cfg_.cvtBanks);
+    BarrierPools pools(tile / launch.ctaSize, launch.ctaSize, num_blocks,
+                       k.hasBarrier());
+    // One forward-only decode cursor per thread of the tile; the BBS
+    // consumes each thread's trace strictly in order, one block
+    // execution per drain.
+    std::vector<ThreadCursor> cursor(size_t{unsigned(tile)});
+    // The terminator CVU's batch under construction for each successor
+    // block: the 64-thread window it covers and the bits set so far.
+    // A drained vector is ascending, so a successor's batch for one
+    // window is complete once a thread of a later window reaches it.
+    std::vector<ThreadBatch> succ_batch(static_cast<size_t>(num_blocks));
+    std::vector<uint32_t> gtids;  // observer scratch
+    if (cfg_.blockObserver)
+        gtids.reserve(size_t(tile));
     // Lines already serviced for this vector when the (future-work)
     // coalescer is enabled; key = line*2 + isStore.
     ScratchSet coalesced;
@@ -290,7 +298,6 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
         m_lvc_misses.assign(size_t(num_blocks), 0.0);
     }
 
-    const int tile = tileSizeFor(k, launch);
     uint64_t compute_cycles = 0;
     uint64_t vector_sum = 0;       // Fig. 1d: coalesced vector sizes
     uint64_t vectors_scheduled = 0;
@@ -301,39 +308,23 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
             std::min(tile, num_threads - tile_start);
         const int ctas_in_tile = tile_threads / launch.ctaSize;
 
-        ControlVectorTable cvt(num_blocks, tile_threads, cfg_.cvtBanks);
+        cvt.reset(tile_threads);
         cvt.seedEntry(tile_threads);
-
-        // Barrier pools, keyed by (cta-in-tile, block).
-        std::vector<std::vector<std::pair<uint32_t, int>>> pools(
-            size_t(ctas_in_tile) * num_blocks);
-        std::vector<int> live_in_cta(size_t(ctas_in_tile),
-                                     launch.ctaSize);
-        int waiting = 0;
-
-        auto release_pools = [&](int cta) {
-            for (int b = 0; b < num_blocks; ++b) {
-                auto &pool = pools[size_t(cta) * num_blocks + b];
-                if (!pool.empty() &&
-                    int(pool.size()) == live_in_cta[cta]) {
-                    for (auto [rel, succ] : pool)
-                        cvt.set(succ, rel);
-                    waiting -= int(pool.size());
-                    pool.clear();
-                }
-            }
-        };
+        pools.reset(ctas_in_tile);
+        for (int t = 0; t < tile_threads; ++t)
+            cursor[size_t(t)] = traces.thread(uint32_t(tile_start + t));
+        auto release = [&](uint32_t rel, int succ) { cvt.set(succ, rel); };
 
         int configured = -1;
         while (true) {
             const int b = cvt.firstPendingBlock();
             if (b < 0) {
-                vgiw_assert(waiting == 0, "kernel '", k.name,
+                vgiw_assert(pools.waiting() == 0, "kernel '", k.name,
                             "': barrier deadlock in VGIW replay");
                 break;
             }
 
-            cvt.drainInto(b, rel_tids);
+            const std::span<const uint32_t> rel_tids = cvt.drain(b);
             const uint64_t v = rel_tids.size();
             vector_sum += v;
             ++vectors_scheduled;
@@ -364,14 +355,12 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
             // --- Replay this block vector. ---------------------------
             l1_banks_model.reset();
             shared_banks_model.reset();
-            for (auto &s : succ_tids)
-                s.clear();
             uint64_t miss_latency = 0;
             coalesced.clear();
 
             for (uint32_t rel : rel_tids) {
                 const uint32_t gtid = uint32_t(tile_start) + rel;
-                ThreadCursor &cur = cursor[gtid];
+                ThreadCursor &cur = cursor[rel];
                 vgiw_assert(!cur.done(), "trace underrun");
                 vgiw_assert(cur.block() == b, "trace/schedule divergence");
 
@@ -419,29 +408,31 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                 }
 
                 // Successor registration via the terminator CVU.
+                // One CVT word write per (successor, 64-thread
+                // window) batch.
                 const int succ = cur.succ();
                 cur.nextExec();
-                const int cta = int(rel) / launch.ctaSize;
                 if (succ < 0) {
-                    --live_in_cta[cta];
-                    release_pools(cta);
+                    pools.exit(rel, release);
                 } else if (blk.term.barrier) {
-                    pools[size_t(cta) * num_blocks + b]
-                        .emplace_back(rel, succ);
-                    ++waiting;
-                    release_pools(cta);
+                    pools.arrive(rel, b, succ, release);
                 } else {
-                    succ_tids[succ].push_back(rel);
+                    ThreadBatch &batch = succ_batch[size_t(succ)];
+                    const uint32_t base = rel & ~63u;
+                    if (batch.bitmap != 0 && batch.base != base) {
+                        cvt.orBatch(succ, batch);
+                        batch.bitmap = 0;
+                    }
+                    batch.base = base;
+                    batch.bitmap |= uint64_t{1} << (rel & 63u);
                 }
             }
-
-            // Batch updates back into the CVT (one word write each).
             for (int s = 0; s < num_blocks; ++s) {
-                if (succ_tids[s].empty())
-                    continue;
-                packBatchesInto(succ_tids[s], batches);
-                for (const ThreadBatch &batch : batches)
+                ThreadBatch &batch = succ_batch[size_t(s)];
+                if (batch.bitmap != 0) {
                     cvt.orBatch(s, batch);
+                    batch.bitmap = 0;
+                }
             }
 
             // --- Cycle model for this vector. -------------------------
@@ -469,9 +460,8 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                          rs.dynBlockExecs, rs.dynThreadOps);
             }
         }
-
-        ev.cvtWords += cvt.stats().accesses();
     }
+    ev.cvtWords = cvt.stats().accesses();
 
     // --- Totals. ---------------------------------------------------------
     rs.cycles = compute_cycles + rs.configCycles;

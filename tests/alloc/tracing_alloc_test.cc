@@ -1,52 +1,21 @@
 /**
  * @file
- * Allocation ceilings for tracing. This executable replaces the global
- * operator new with one that counts its calls, so it is built apart
- * from vgiw_tests. The trace writer carves every thread's streams from
- * shared slabs, so tracing a launch allocates a handful of buffers plus
- * one slab per 64 KB of stream chunks, never a buffer per thread; these
- * ceilings fail as soon as per-thread allocation returns.
+ * Allocation ceilings for tracing, counted by the replaced global
+ * operator new of alloc_counter.cc. The trace writer carves every
+ * thread's streams from shared slabs, so tracing a launch allocates a
+ * handful of buffers plus one slab per 64 KB of stream chunks, never a
+ * buffer per thread; these ceilings fail as soon as per-thread
+ * allocation returns.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 
+#include "alloc/alloc_counter.hh"
 #include "interp/interpreter.hh"
 #include "workloads/workload.hh"
-
-namespace
-{
-
-std::atomic<uint64_t> g_allocs{0};
-
-} // namespace
-
-// The default array and nothrow forms call these two.
-void *
-operator new(std::size_t n)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace vgiw
 {
@@ -58,9 +27,9 @@ uint64_t
 tracingAllocs(const WorkloadEntry &entry)
 {
     WorkloadInstance w = entry.make();
-    const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const uint64_t before = testing::allocCount();
     const TraceSet ts = Interpreter{}.run(w.kernel, w.launch, w.memory);
-    const uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+    const uint64_t allocs = testing::allocCount() - before;
     EXPECT_EQ(ts.numThreads(), size_t(w.launch.numThreads()));
     return allocs;
 }
@@ -77,7 +46,7 @@ TEST(TracingAllocs, HotspotTracesInUnder100Allocations)
     FAIL() << "HOTSPOT/hotspot_kernel is not in the registry";
 }
 
-TEST(TracingAllocs, RegistryTracesInUnder5000Allocations)
+TEST(TracingAllocs, RegistryTracesInUnder1300Allocations)
 {
     uint64_t total = 0;
     for (const WorkloadEntry &entry : workloadRegistry()) {
@@ -88,7 +57,7 @@ TEST(TracingAllocs, RegistryTracesInUnder5000Allocations)
     }
     std::printf("%-28s %8llu\n", "total",
                 static_cast<unsigned long long>(total));
-    EXPECT_LT(total, 5000u);
+    EXPECT_LT(total, 1300u);
 }
 
 } // namespace

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "helpers/test_kernels.hh"
 #include "interp/interpreter.hh"
 #include "vgiw/vgiw_core.hh"
@@ -68,6 +73,66 @@ TEST(VgiwCore, Fig2MachineStateWalkthrough)
     EXPECT_EQ(rs.reconfigs, 6u);
     EXPECT_EQ(rs.configCycles, 6u * 34u);
     EXPECT_GT(rs.cycles, rs.configCycles);
+}
+
+TEST(VgiwCore, CvtWordWritesAreOnePerSuccessorWindow)
+{
+    // 256 threads of the Figure 1a kernel, their branch outcomes mixed
+    // so every successor is reached from all four 64-thread windows,
+    // over a 192-thread tile and a 64-thread last tile. The terminator
+    // CVUs must write one CVT word per (successor, window) of each
+    // drained vector: the <base, bitmap> batches of Section 3.2.
+    static Kernel k = testing::makeFig1Kernel();
+    const int n = 256;
+    MemoryImage mem;
+    const uint32_t in = mem.allocWords(n);
+    const uint32_t out = mem.allocWords(n);
+    const uint32_t out2 = mem.allocWords(n);
+    for (int i = 0; i < n; ++i)
+        mem.storeI32(in, uint32_t(i), (i * 7 + i / 5) % 3);
+    LaunchParams lp;
+    lp.numCtas = 4;
+    lp.ctaSize = 64;
+    lp.params = {Scalar::fromU32(in), Scalar::fromU32(out),
+                 Scalar::fromU32(out2)};
+    const TraceSet traces = Interpreter{}.run(k, lp, mem);
+
+    VgiwConfig cfg;
+    cfg.cvtCapacityBits = uint32_t(k.numBlocks()) * 192;
+    const int tile = 192;
+    ASSERT_EQ(VgiwCore(cfg).tileSizeFor(k, lp), tile);
+
+    // Oracle: follow each thread's trace through the schedule and count
+    // the batches of every drained vector, plus the seed writes and one
+    // word read per tile word per drain.
+    std::vector<ThreadCursor> cur;
+    for (int t = 0; t < n; ++t)
+        cur.push_back(traces.thread(uint32_t(t)));
+    auto tile_words = [&](uint32_t gtid) {
+        const int start = int(gtid) / tile * tile;
+        return uint64_t(std::min(tile, n - start) + 63) / 64;
+    };
+    uint64_t expected = tile_words(0) + tile_words(tile);  // seeds
+    uint64_t multi_window_vectors = 0;
+    cfg.blockObserver = [&](int b, const std::vector<uint32_t> &gtids) {
+        expected += tile_words(gtids.front());
+        std::set<std::pair<int, uint32_t>> batches;  // (succ, window)
+        std::set<uint32_t> windows;
+        for (uint32_t g : gtids) {
+            ASSERT_EQ(cur[g].block(), b);
+            const int succ = cur[g].succ();
+            cur[g].nextExec();
+            if (succ >= 0) {
+                batches.emplace(succ, g % uint32_t(tile) / 64);
+                windows.insert(g % uint32_t(tile) / 64);
+            }
+        }
+        expected += batches.size();
+        multi_window_vectors += windows.size() > 1;
+    };
+    const RunStats rs = VgiwCore(cfg).run(traces);
+    EXPECT_GT(multi_window_vectors, 0u);
+    EXPECT_EQ(rs.events.cvtWords, expected);
 }
 
 TEST(VgiwCore, ThreadVectorCoalescesAcrossControlFlows)
