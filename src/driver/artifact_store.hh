@@ -198,8 +198,9 @@ class ArtifactStore
 {
   public:
     /** Bumped whenever the blob header or any payload layout changes;
-     * blobs from other versions demote to misses. */
-    static constexpr uint32_t kFormatVersion = 1;
+     * blobs from other versions demote to misses. 2: traces store
+     * branch outcomes instead of (block, successor, access count). */
+    static constexpr uint32_t kFormatVersion = 2;
 
     ArtifactStore() = default;
 

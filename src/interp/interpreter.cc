@@ -223,16 +223,13 @@ struct Src
  * live-out, then the branch condition. Result columns are allocated per
  * block by a linear scan: a register column is free again once its
  * last reader has run, so a block needs only as many as it has results
- * live at once. Each block's memory instructions also get their trace
- * kind, `isShared << 1 | isStore`, in order.
+ * live at once.
  */
 struct Program
 {
     std::vector<Src> srcs;
     std::vector<uint32_t> firstSrc;  ///< per block, index into srcs
     uint32_t numCols = kLocalCol;    ///< lane-buffer columns needed
-    std::vector<uint8_t> memKinds;
-    std::vector<uint32_t> firstMem;  ///< per block and one past the last
     uint32_t maxMem = 0;             ///< most memory instrs in a block
 
     Program(const Kernel &k, const LaunchParams &launch)
@@ -282,16 +279,7 @@ struct Program
         };
 
         for (const BasicBlock &b : k.blocks) {
-            firstMem.push_back(uint32_t(memKinds.size()));
-            for (const Instr &in : b.instrs) {
-                if (in.isMemory()) {
-                    memKinds.push_back(
-                        uint8_t((in.space == MemSpace::Shared) << 1 |
-                                (in.op == Opcode::Store)));
-                }
-            }
-            maxMem = std::max(maxMem,
-                              uint32_t(memKinds.size()) - firstMem.back());
+            maxMem = std::max(maxMem, uint32_t(b.numMemOps()));
 
             const size_t n = b.instrs.size();
             // Live-outs and the branch condition read at the block's end.
@@ -336,7 +324,6 @@ struct Program
             srcs.push_back(decode(b.term.cond));
             numCols = std::max(numCols, next_col);
         }
-        firstMem.push_back(uint32_t(memKinds.size()));
     }
 };
 
@@ -369,7 +356,7 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
     std::vector<uint32_t> addr_buf(size_t(std::max(prog.maxMem, 1u)) *
                                    kStrip);
     uint32_t *const addrs = addr_buf.data();
-    TraceWriter trace(num_threads);
+    TraceWriter trace(k, num_threads);
 
     const size_t num_lv = size_t(k.numLiveValues);
     std::vector<uint32_t> live(size_t(num_threads) * num_lv);
@@ -434,9 +421,6 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
 
         const BasicBlock &blk = k.blocks[next];
         const Src *const block_srcs = prog.srcs.data() + prog.firstSrc[next];
-        const uint8_t *const kinds =
-            prog.memKinds.data() + prog.firstMem[next];
-        const uint32_t num_mem = prog.firstMem[next + 1] - prog.firstMem[next];
         const size_t num_tids = pending[next].drainToIndices(tids.data());
 
         total_execs += num_tids;
@@ -516,6 +500,7 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
             const uint32_t *const cond =
                 blk.term.kind == TermKind::Branch ? column(*src, 0, n)
                                                   : nullptr;
+            const uint32_t num_mem = uint32_t((addr_col - addrs) / kStrip);
 
             // Terminators, lane by lane in tid order.
             for (size_t l = 0; l < n; ++l) {
@@ -534,8 +519,7 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
                     break;
                 }
 
-                trace.block(tid, next, succ, addrs + l, kStrip, kinds,
-                            num_mem);
+                trace.block(tid, next, succ, addrs + l, kStrip, num_mem);
 
                 if (succ < 0)
                     pools.exit(tid, make_pending);
@@ -547,7 +531,7 @@ Interpreter::run(const Kernel &k, const LaunchParams &launch,
         }
     }
 
-    return trace.finish(&k, launch);
+    return trace.finish(launch);
 }
 
 } // namespace vgiw
