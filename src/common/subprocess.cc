@@ -33,10 +33,7 @@ fnv1aStep(uint64_t h, const void *data, size_t len)
 }
 
 /** Checksum over length + type + payload: a flipped header bit is
- * caught like a flipped payload bit. (A corrupted *length* field still
- * desynchronises the byte stream — the reader consumes the wrong
- * count — which is why CorruptRecord recovery is paired with a
- * consecutive-corruption cap at every call site.) */
+ * caught like a flipped payload bit. */
 uint64_t
 frameChecksum(uint32_t len, uint8_t type, std::string_view payload)
 {
@@ -95,45 +92,22 @@ readAll(int fd, void *out, size_t len, bool *started)
 
 } // namespace
 
-namespace
-{
-
-bool
-writeFrameWithSum(int fd, FrameType type, std::string_view payload,
-                  uint64_t sum)
-{
-    // Header: u32 length, u8 type, u64 checksum — fixed layout, native
-    // endianness (pipe peers are fork()s of one process).
-    char header[13];
-    const uint32_t len = uint32_t(payload.size());
-    const uint8_t t = uint8_t(type);
-    std::memcpy(header, &len, 4);
-    std::memcpy(header + 4, &t, 1);
-    std::memcpy(header + 5, &sum, 8);
-    return writeAll(fd, header, sizeof header) &&
-           writeAll(fd, payload.data(), payload.size());
-}
-
-} // namespace
-
 bool
 writeFrame(int fd, FrameType type, std::string_view payload)
 {
     if (payload.size() > kMaxFrameBytes)
         return false;
-    return writeFrameWithSum(
-        fd, type, payload,
-        frameChecksum(uint32_t(payload.size()), uint8_t(type), payload));
-}
-
-bool
-writeCorruptFrameForTest(int fd, FrameType type, std::string_view payload)
-{
-    if (payload.size() > kMaxFrameBytes)
-        return false;
-    const uint64_t good = frameChecksum(uint32_t(payload.size()),
-                                        uint8_t(type), payload);
-    return writeFrameWithSum(fd, type, payload, good ^ 1);
+    // Header: u32 length, u8 type, u64 checksum — fixed layout, native
+    // endianness (pipe peers are fork()s of one process).
+    char header[13];
+    const uint32_t len = uint32_t(payload.size());
+    const uint8_t t = uint8_t(type);
+    const uint64_t sum = frameChecksum(len, t, payload);
+    std::memcpy(header, &len, 4);
+    std::memcpy(header + 4, &t, 1);
+    std::memcpy(header + 5, &sum, 8);
+    return writeAll(fd, header, sizeof header) &&
+           writeAll(fd, payload.data(), payload.size());
 }
 
 ReadStatus
@@ -161,11 +135,8 @@ readFrame(int fd, Frame *out)
         if (st != ReadStatus::Ok)
             return st == ReadStatus::Eof ? ReadStatus::Corrupt : st;
     }
-    // The declared length was plausible and fully consumed: the stream
-    // is still frame-aligned, so a checksum mismatch here is the
-    // recoverable grade — callers may skip exactly this record.
     if (frameChecksum(len, type, out->payload) != sum)
-        return ReadStatus::CorruptRecord;
+        return ReadStatus::Corrupt;
     return ReadStatus::Ok;
 }
 

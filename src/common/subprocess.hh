@@ -20,13 +20,10 @@
  *    payload. Pipes deliver bytes, not messages; the frame header
  *    re-creates message boundaries. The checksum covers the
  *    length and type bytes as well as the payload, so a flipped header
- *    bit is caught like a flipped payload bit. Detected corruption is
- *    split into two grades: `CorruptRecord` (the stream is still
- *    aligned — the declared payload length was plausible and fully
- *    consumed, only the checksum failed; the reader may skip exactly
- *    this record and keep parsing) and `Corrupt` (torn frame, mid-frame
- *    EOF, or an implausible length — the stream is desynchronised and
- *    must be abandoned).
+ *    bit is caught like a flipped payload bit. Every detected
+ *    corruption — a checksum mismatch, a torn frame, a mid-frame EOF or
+ *    an implausible length — reads as `Corrupt`: the stream can no
+ *    longer be trusted and its peer is abandoned.
  *  - **reaping** — waitpid wrappers that classify how a child ended
  *    (clean exit / signal / still running) and render it for error
  *    messages ("killed by signal 11 (SIGSEGV)").
@@ -80,10 +77,8 @@ enum class ReadStatus
     Ok,            ///< a complete, checksum-valid frame was read
     Eof,           ///< orderly end of stream (peer closed the pipe)
     Interrupted,   ///< EINTR before any byte arrived (check drain flags)
-    CorruptRecord, ///< checksum mismatch but stream still aligned: the
-                   ///< reader may skip this one record and continue
-    Corrupt,       ///< torn frame, mid-frame EOF or oversized length:
-                   ///< the stream is desynchronised, abandon it
+    Corrupt,       ///< checksum mismatch, torn frame, mid-frame EOF or
+                   ///< oversized length: abandon the stream
     Error,         ///< read(2) failed
 };
 
@@ -103,21 +98,10 @@ bool writeFrame(int fd, FrameType type, std::string_view payload);
  * Read one frame from @p fd (blocking). EINTR before the first header
  * byte returns Interrupted; once a frame has started, reads are
  * retried until it completes or the stream ends (a mid-frame EOF is
- * Corrupt — the peer died mid-write). A checksum mismatch on a frame
- * whose length field was plausible is CorruptRecord: exactly
- * payload-length bytes were consumed, so the caller may skip the
- * record and keep reading the same stream.
+ * Corrupt — the peer died mid-write). A checksum mismatch is Corrupt
+ * too.
  */
 ReadStatus readFrame(int fd, Frame *out);
-
-/**
- * Test hook: write a frame whose checksum is deliberately wrong but
- * whose length and type are valid, so the reader sees CorruptRecord
- * with the stream still aligned. Used by the corruption-recovery tests
- * and the `badframe` fault hook; never by real traffic.
- */
-bool writeCorruptFrameForTest(int fd, FrameType type,
-                              std::string_view payload);
 
 /** One spawned worker process and its two pipe ends (parent's view). */
 struct ChildProcess

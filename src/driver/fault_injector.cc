@@ -23,7 +23,6 @@ FaultInjector::pointName(Point p)
       case Point::Compile: return "compile";
       case Point::Replay: return "replay";
       case Point::Callback: return "callback";
-      case Point::Send: return "send";
     }
     return "?";
 }
@@ -39,7 +38,7 @@ FaultSpec::parse(std::string_view spec)
     } kActions[] = {
         {"segv", Action::Raise, SIGSEGV}, {"kill", Action::Raise, SIGKILL},
         {"abort", Action::Raise, SIGABRT}, {"mute", Action::Raise, SIGSTOP},
-        {"stall", Action::Stall, 0},       {"badframe", Action::BadFrame, 0},
+        {"stall", Action::Stall, 0},
     };
     // A whole field of decimal digits, or nothing.
     auto number = [](std::string_view field, auto *out) {
@@ -68,7 +67,7 @@ FaultSpec::parse(std::string_view spec)
     if (!ok) {
         std::fprintf(stderr,
                      "VGIW_TEST_FAULT: ignoring malformed spec '%.*s' "
-                     "(want <segv|kill|abort|stall|mute|badframe>:<job>"
+                     "(want <segv|kill|abort|stall|mute>:<job>"
                      "[:<ms>], ms on stall only)\n",
                      int(spec.size()), spec.data());
         return std::nullopt;
@@ -106,12 +105,6 @@ FaultInjector::armRaise(Point p, size_t job_index, int signo)
 }
 
 void
-FaultInjector::armCorruptFrame(size_t job_index)
-{
-    arm(Point::Send, job_index, []() {});
-}
-
-void
 FaultInjector::arm(const FaultSpec &spec)
 {
     switch (spec.action) {
@@ -120,9 +113,6 @@ FaultInjector::arm(const FaultSpec &spec)
         break;
       case FaultSpec::Action::Stall:
         armStall(Point::Replay, spec.job, spec.millis);
-        break;
-      case FaultSpec::Action::BadFrame:
-        armCorruptFrame(spec.job);
         break;
     }
 }
@@ -148,7 +138,6 @@ FaultInjector::armCorrupt(Point p, size_t job_index)
         arm(p, job_index, [what]() { vgiw_panic(what); });
         break;
       case Point::Callback:
-      case Point::Send:
         arm(p, job_index,
             [what]() { throw std::runtime_error(what); });
         break;
@@ -184,7 +173,7 @@ FaultInjector::arm(Point p, size_t job_index, std::function<void()> fault)
     armed_[Key(uint8_t(p), job_index)] = Rule{std::move(fault), 1};
 }
 
-bool
+void
 FaultInjector::fire(Point p, size_t job_index)
 {
     std::function<void()> fault;
@@ -192,7 +181,7 @@ FaultInjector::fire(Point p, size_t job_index)
         std::lock_guard<std::mutex> lock(mu_);
         auto it = armed_.find(Key(uint8_t(p), job_index));
         if (it == armed_.end())
-            return false;
+            return;
         if (--it->second.remaining == 0) {
             fault = std::move(it->second.fault);
             armed_.erase(it);  // exhausted: later firings pass clean
@@ -202,7 +191,6 @@ FaultInjector::fire(Point p, size_t job_index)
     }
     fired_.fetch_add(1);
     fault();  // outside the lock: the fault may stall or rethrow
-    return true;
 }
 
 } // namespace vgiw

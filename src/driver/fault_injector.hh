@@ -17,14 +17,12 @@
  *   replay   — before CoreModel::run (after a compiled artifact exists)
  *   callback — inside the serialised onResult/onFailure region, as if
  *              the user's callback itself threw
- *   send     — a shard worker about to write a job's Result frame
  *
  * Canned actions: Throw (an untyped std::runtime_error, exercising the
  * unclassified-exception paths), Panic (a real vgiw_panic, exercising
  * panic capture), Stall (a finite sleep, tripping wall-clock
- * deadlines), Corrupt (a stage-appropriate typed failure), Raise (a
- * hard signal) and CorruptFrame (a checksum-bad pipe frame). Arbitrary
- * faults can be armed as callables.
+ * deadlines), Corrupt (a stage-appropriate typed failure) and Raise (a
+ * hard signal). Arbitrary faults can be armed as callables.
  *
  * Shard workers are fork()s of the coordinator, so an injector in the
  * sweep options is copied into every worker as armed at its fork: a
@@ -54,12 +52,12 @@ namespace vgiw
 
 /**
  * A process-kind test fault, parsed from the `VGIW_TEST_FAULT` grammar
- * `<segv|kill|abort|stall|mute|badframe>:<job>[:<ms>]` — the one way
+ * `<segv|kill|abort|stall|mute>:<job>[:<ms>]` — the one way
  * CLI tests, which cannot pass an injector object, arm a fault.
  */
 struct FaultSpec
 {
-    enum class Action : uint8_t { Raise, Stall, BadFrame };
+    enum class Action : uint8_t { Raise, Stall };
 
     Action action = Action::Raise;
     /** Raise: segv/kill/abort are SIGSEGV/SIGKILL/SIGABRT; mute is
@@ -78,9 +76,8 @@ struct FaultSpec
 class FaultInjector
 {
   public:
-    /** Stages of the engine's per-job pipeline, plus a shard worker's
-     * result write. */
-    enum class Point : uint8_t { Trace, Compile, Replay, Callback, Send };
+    /** Stages of the engine's per-job pipeline. */
+    enum class Point : uint8_t { Trace, Compile, Replay, Callback };
 
     static const char *pointName(Point p);
 
@@ -105,18 +102,11 @@ class FaultInjector
      */
     void armRaise(Point p, size_t job_index, int signo);
 
-    /** One checksum-bad frame ahead of job @p job_index's Result frame
-     * (the Send point; the shard worker writes it). The coordinator
-     * must skip exactly that record. */
-    void armCorruptFrame(size_t job_index);
-
-    /** Arm @p spec: a raise or a stall at the replay point, or
-     * armCorruptFrame. */
+    /** Arm @p spec: a raise or a stall at the replay point. */
     void arm(const FaultSpec &spec);
 
     /** A stage-appropriate typed corruption: functional-kind at trace,
-     * compile-kind at compile, a panic at replay, a throw at callback
-     * or send. */
+     * compile-kind at compile, a panic at replay, a throw at callback. */
     void armCorrupt(Point p, size_t job_index);
 
     /**
@@ -136,11 +126,10 @@ class FaultInjector
 
     /**
      * Engine hook: detonate the fault armed at (@p p, @p job_index), if
-     * any, and say whether one fired. A rule fires at most its armed
-     * count of times (once, except for armTransient). May throw
-     * whatever the fault throws.
+     * any. A rule fires at most its armed count of times (once, except
+     * for armTransient). May throw whatever the fault throws.
      */
-    bool fire(Point p, size_t job_index);
+    void fire(Point p, size_t job_index);
 
     /** Number of faults detonated so far. */
     uint64_t fired() const { return fired_.load(); }

@@ -14,7 +14,6 @@
 #include <poll.h>
 #include <unistd.h>
 
-#include "common/backoff.hh"
 #include "common/signal_drain.hh"
 #include "common/subprocess.hh"
 #include "driver/artifact_store.hh"
@@ -26,12 +25,6 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
-
-/** Consecutive CorruptRecord reads tolerated on one stream before the
- * peer is declared desynchronised. Aligned single-record corruption is
- * skippable by design; a *run* of bad checksums usually means a
- * corrupted length field took the framing with it. */
-constexpr unsigned kMaxConsecutiveCorrupt = 3;
 
 // ---------------------------------------------------------------------
 // Payload codecs. Native layout: the peers are fork()s of one process;
@@ -256,10 +249,7 @@ ShardSupervisor::workerMain(int in_fd, int out_fd,
         if (st == ReadStatus::Eof)
             break;  // coordinator closed the pipe: orderly exit
         if (st != ReadStatus::Ok) {
-            rc = 1;  // Corrupt / Error: desynchronised coordinator.
-                     // (CorruptRecord too: a worker cannot skip a Job
-                     // frame — the coordinator would believe the job
-                     // is owned. Dying hands it back for re-dispatch.)
+            rc = 1;  // Corrupt / Error: dying hands any job back
             break;
         }
         if (frame.type == FrameType::Shutdown)
@@ -278,13 +268,6 @@ ShardSupervisor::workerMain(int in_fd, int out_fd,
         const std::string payload =
             encodeResultMsg(index, r, renderJobLine(r));
         std::lock_guard<std::mutex> lock(write_mu);
-        if (eopts.injector &&
-            eopts.injector->fire(FaultInjector::Point::Send, index)) {
-            // Corruption-recovery drill: one checksum-bad (but
-            // length-valid) frame ahead of the real result.
-            writeCorruptFrameForTest(out_fd, FrameType::Heartbeat,
-                                     "corrupt-record-drill");
-        }
         if (!writeFrame(out_fd, FrameType::Result, payload)) {
             rc = 1;  // coordinator is gone; nothing left to do
             break;
@@ -318,11 +301,9 @@ SupervisorStats::countersJson() const
 {
     char buf[256];
     std::snprintf(buf, sizeof buf,
-                  "{\"supervisor.corrupt_frames\":%llu,"
-                  "\"supervisor.crashes\":%llu,"
+                  "{\"supervisor.crashes\":%llu,"
                   "\"supervisor.heartbeat_misses\":%llu,"
                   "\"supervisor.restarts\":%llu}",
-                  (unsigned long long)corruptFrames,
                   (unsigned long long)crashes,
                   (unsigned long long)heartbeatMisses,
                   (unsigned long long)restarts);
@@ -378,22 +359,13 @@ ShardSupervisor::supervise(const std::vector<ExperimentJob> &jobs,
         size_t job = 0;
         Clock::time_point dispatched{};
         Clock::time_point lastBeat{};
-        Clock::time_point backoffUntil{};
-        unsigned consecutiveCrashes = 0;
-        unsigned consecutiveCorrupt = 0;
+        Clock::time_point nextSpawn{};  ///< set 1 s out by a failed fork
         std::string pendingReason;  ///< supervisor-initiated kill cause
-        BackoffSchedule backoff{};
     };
     std::vector<Slot> slots(
         std::min<size_t>(std::max(opts_.shards, 1u), pending.size()));
-    for (size_t s = 0; s < slots.size(); ++s) {
+    for (size_t s = 0; s < slots.size(); ++s)
         slots[s].id = s;
-        slots[s].backoff.baseMs = opts_.respawnBackoffMs;
-        // Decorrelate the slots' jitter streams; the schedule itself
-        // stays deterministic per (seed, attempt).
-        slots[s].backoff.seed =
-            (uint64_t(::getpid()) << 32) ^ uint64_t(s + 1);
-    }
 
     // One FIFO: whichever worker is idle takes the front, and a job
     // whose worker died goes back to the front.
@@ -434,14 +406,12 @@ ShardSupervisor::supervise(const std::vector<ExperimentJob> &jobs,
             ++spawn_failures;
             std::fprintf(stderr, "shard worker %zu: %s\n", s.id,
                          err.c_str());
-            s.backoffUntil =
-                Clock::now() + std::chrono::milliseconds(1000);
+            s.nextSpawn = Clock::now() + std::chrono::milliseconds(1000);
             return;
         }
         s.alive = true;  // (death() already cleared busy and the reason)
         s.reported = false;
         s.lastBeat = Clock::now();
-        s.consecutiveCorrupt = 0;
         if (respawn)
             ++stats_.restarts;
         std::fprintf(stderr, "shard worker %zu %s (pid %d)\n", s.id,
@@ -466,31 +436,32 @@ ShardSupervisor::supervise(const std::vector<ExperimentJob> &jobs,
         s.dispatched = Clock::now();
     };
 
+    /** Act on one checksum-valid frame from @p s; false if it is
+     * unusable: a Result that does not decode, names another job than
+     * the one in flight or reaches an idle slot, a Stats that does not
+     * decode, or a type workers never send. */
     auto handleFrame = [&](Slot &s, const Frame &frame) {
         switch (frame.type) {
           case FrameType::Heartbeat:
             s.lastBeat = Clock::now();
-            break;
+            return true;
           case FrameType::Result: {
             if (!s.busy)
-                break;  // stale/duplicate result: drop
+                return false;
             JobResult r = labelled(jobs[s.job]);
             uint64_t index = 0;
             if (!decodeResultMsg(frame.payload, &index, &r) ||
-                index != s.job) {
-                break;  // corrupt payload; the checksum said Ok, but
-                        // be defensive about the layout
-            }
+                index != s.job)
+                return false;
             s.busy = false;
-            s.consecutiveCrashes = 0;
             deliver(s.job, std::move(r));
-            break;
+            return true;
           }
           case FrameType::Stats:
-            s.reported |= addStatsMsg(frame.payload, &stats_);
-            break;
+            s.reported = addStatsMsg(frame.payload, &stats_);
+            return s.reported;
           default:
-            break;  // workers do not send Job/Shutdown
+            return false;
         }
     };
 
@@ -502,35 +473,31 @@ ShardSupervisor::supervise(const std::vector<ExperimentJob> &jobs,
         s.cp.toChild = s.cp.fromChild = -1;
     };
 
-    /** Read one frame off the worker's pipe and act on it. A
-     * checksum-bad but aligned record is skipped and counted. */
+    /** Read one frame off the worker's pipe and act on it; an
+     * unusable frame reads as Corrupt, which ends the worker. */
     auto readOne = [&](Slot &s) {
         Frame frame;
-        const ReadStatus st = readFrame(s.cp.fromChild, &frame);
-        if (st == ReadStatus::Ok)
-            handleFrame(s, frame);
-        else if (st == ReadStatus::CorruptRecord)
-            ++stats_.corruptFrames;
+        ReadStatus st = readFrame(s.cp.fromChild, &frame);
+        if (st == ReadStatus::Ok && !handleFrame(s, frame))
+            st = ReadStatus::Corrupt;
         return st;
-    };
-    auto readable = [](ReadStatus st) {
-        return st == ReadStatus::Ok || st == ReadStatus::CorruptRecord;
     };
 
     auto death = [&](Slot &s) {
         if (!s.alive)
             return;
-        // Drain buffered frames first (non-blocking), so a Result or
-        // Stats the worker sent before dying is not lost with the pipe.
+        // SIGKILL first: a worker that is alive but wedged, or whose
+        // stream is out of step, must block neither the drain nor the
+        // reap below — once it is dead, every read ends at EOF. A
+        // zombie discards the signal harmlessly.
+        killChild(s.cp.pid, SIGKILL);
+        // Drain buffered frames, so a Result or Stats the worker sent
+        // before dying is not lost with the pipe.
         struct pollfd pfd = {s.cp.fromChild, POLLIN, 0};
         while (::poll(&pfd, 1, 0) > 0 && (pfd.revents & POLLIN) &&
-               readable(readOne(s))) {
+               readOne(s) == ReadStatus::Ok) {
         }
         closeSlotFds(s);
-        // SIGKILL before the blocking reap: if the child is alive but
-        // wedged (it sent a torn frame, say), waitpid must not hang
-        // the coordinator. A zombie discards the signal harmlessly.
-        killChild(s.cp.pid, SIGKILL);
         const ChildStatus st = waitChild(s.cp.pid);
         s.alive = false;
         const bool clean =
@@ -543,7 +510,6 @@ ShardSupervisor::supervise(const std::vector<ExperimentJob> &jobs,
             // The in-flight job died with its worker.
             s.busy = false;
             ++stats_.crashes;
-            ++s.consecutiveCrashes;
             const size_t i = s.job;
             std::fprintf(stderr,
                          "shard worker %zu (pid %d) lost job %s [%s]: "
@@ -558,10 +524,6 @@ ShardSupervisor::supervise(const std::vector<ExperimentJob> &jobs,
             } else if (!draining) {
                 queue.push_front(i);
             }  // else the sweep is draining: the job stays drained
-            s.backoffUntil =
-                Clock::now() +
-                std::chrono::milliseconds(
-                    s.backoff.delayMs(s.consecutiveCrashes));
         } else if (!clean && !draining) {
             std::fprintf(stderr,
                          "shard worker %zu (pid %d) exited while idle: "
@@ -601,7 +563,7 @@ ShardSupervisor::supervise(const std::vector<ExperimentJob> &jobs,
         if (!queue.empty()) {
             bool any_alive = false;
             for (Slot &s : slots) {
-                if (!s.alive && now >= s.backoffUntil && !queue.empty())
+                if (!s.alive && now >= s.nextSpawn && !queue.empty())
                     spawn(s, /*respawn=*/true);
                 if (s.alive && !s.busy && !queue.empty())
                     dispatch(s);
@@ -633,36 +595,22 @@ ShardSupervisor::supervise(const std::vector<ExperimentJob> &jobs,
                     if (!s.alive)
                         continue;
                     if (fds[k].revents & POLLIN) {
+                        // (Interrupted: re-check the drain flag next
+                        // iteration.)
                         const ReadStatus st = readOne(s);
-                        if (st == ReadStatus::Ok) {
-                            s.consecutiveCorrupt = 0;
-                        } else if (st == ReadStatus::CorruptRecord) {
-                            // Aligned corruption: the record was
-                            // skipped and the stream kept. A run of
-                            // them means real desync — kill then.
-                            if (++s.consecutiveCorrupt >=
-                                kMaxConsecutiveCorrupt) {
-                                s.pendingReason =
-                                    "repeated corrupt frames; killed";
-                                death(s);
-                            }
-                        } else if (st != ReadStatus::Interrupted) {
-                            // (Interrupted: re-check the drain flag
-                            // next iteration.)
-                            if (st == ReadStatus::Corrupt) {
-                                s.pendingReason =
-                                    "sent a corrupt frame; killed";
-                            }
+                        if (st == ReadStatus::Corrupt)
+                            s.pendingReason = "sent a corrupt frame; killed";
+                        if (st != ReadStatus::Ok &&
+                            st != ReadStatus::Interrupted)
                             death(s);
-                        }
                     } else if (fds[k].revents & (POLLHUP | POLLERR)) {
                         death(s);
                     }
                 }
             }
         } else {
-            // No live pipes (all workers backing off): nap briefly so
-            // the backoff loop is not a busy spin.
+            // No live pipes (every fork failed and each slot waits out
+            // its pause): nap briefly so the loop is not a busy spin.
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
         }
 
@@ -728,7 +676,7 @@ ShardSupervisor::supervise(const std::vector<ExperimentJob> &jobs,
             struct pollfd pfd = {s.cp.fromChild, POLLIN, 0};
             const int n = ::poll(&pfd, 1, 100);
             if (n > 0 && (pfd.revents & POLLIN)) {
-                if (!readable(readOne(s)))
+                if (readOne(s) != ReadStatus::Ok)
                     break;
             } else if (n > 0 && (pfd.revents & (POLLHUP | POLLERR))) {
                 break;

@@ -23,10 +23,13 @@
  *    takes its front. A job whose worker died goes back to the front
  *    and is re-dispatched to a fresh worker while
  *    RetryPolicy::shouldRetry(WorkerCrash, n) allows (by default once),
- *    then recorded as a terminal, quarantined `worker_crash` row. Dead
- *    workers are respawned with jittered exponential backoff.
+ *    then recorded as a terminal, quarantined `worker_crash` row. A
+ *    dead worker is respawned on the next supervision tick.
  *  - **Supervision**: workers send heartbeats; the coordinator enforces
  *    a heartbeat timeout and an optional per-job wall-clock deadline.
+ *    A frame the coordinator cannot use — a bad checksum, a Result
+ *    that does not decode, names another job or reaches an idle
+ *    worker — ends that worker like any other death.
  *  - **Byte-identity**: workers render rows with the same
  *    renderJobLine the in-process engine uses, and the
  *    coordinator re-emits those bytes verbatim — so shard-mode --json
@@ -75,7 +78,6 @@ struct SupervisorStats
     uint64_t restarts = 0;        ///< workers respawned after a death
     uint64_t crashes = 0;         ///< worker deaths with a job in flight
     uint64_t heartbeatMisses = 0; ///< silent workers killed by timeout
-    uint64_t corruptFrames = 0;   ///< checksum-bad records skipped in-stream
 
     // Summed from each worker's final Stats frame (workers that crash
     // never report; these are a floor, used for the summary line).
@@ -115,11 +117,6 @@ struct ShardOptions
 
     uint64_t heartbeatIntervalMs = 250;
     uint64_t heartbeatTimeoutMs = 10000;
-    /** Base respawn backoff after a crash; the envelope doubles per
-     * consecutive crash of the same shard with uniform jitter in
-     * [d/2, d] (common/backoff.hh, 10 s ceiling) so simultaneously
-     * crashed workers do not respawn in lockstep. */
-    uint64_t respawnBackoffMs = 200;
 };
 
 /** Forks, feeds and supervises a fleet of shard workers. */

@@ -58,19 +58,19 @@
  * Crash containment: --shards N forks N supervised worker processes
  * (src/driver/worker_pool) that run jobs through their own engines and
  * stream results back over a checksummed pipe. A worker that
- * segfaults, aborts, is OOM-killed or goes heartbeat-silent costs one
- * job dispatch, not the sweep: the job is retried on a fresh worker
- * and quarantined as `worker_crash` when its crash budget is
- * exhausted. --shard-deadline-ms arms a coordinator-side per-job
- * wall-clock kill. Surviving jobs' --json lines are byte-identical to
- * a single-process run; SIGINT/SIGTERM drain the whole fleet with no
- * orphaned workers.
+ * segfaults, aborts, is OOM-killed, goes heartbeat-silent or sends a
+ * frame the coordinator cannot use costs one job dispatch, not the
+ * sweep: the job is retried on a fresh worker and quarantined as
+ * `worker_crash` when its crash budget is exhausted.
+ * --shard-deadline-ms arms a coordinator-side per-job wall-clock kill.
+ * Surviving jobs' --json lines are byte-identical to a single-process
+ * run; SIGINT/SIGTERM drain the whole fleet with no orphaned workers.
  *
  * Exit codes: 0 every job succeeded; 2 usage or configuration error
  * (nothing ran); 3 the run completed but some jobs failed (golden
  * mismatch, compile error, watchdog, panic); 4 the run was interrupted
  * (SIGINT/SIGTERM) and drained gracefully; 1 results could not be
- * written to the --json path or the journal.
+ * written to the --json path, the --trace-out path or the journal.
  */
 
 #include <algorithm>
