@@ -6,10 +6,9 @@
  * End-of-run aggregates (RunStats) say *what* a config point cost;
  * they cannot say *where* the cycles went — which block drained how
  * many CVT vectors, how often the SIMT stack diverged, how long the
- * engine spent compiling versus replaying, how many times a retry
- * re-ran a job. This layer answers those questions with two
- * primitives, mirroring the per-mechanism attribution the paper uses
- * to explain its speedups:
+ * engine spent compiling versus replaying. This layer answers those
+ * questions with two primitives, mirroring the per-mechanism
+ * attribution the paper uses to explain its speedups:
  *
  *  - **counters** — named, ordered, deterministic numbers
  *    (`JobMetrics::add`/`set`). Replay is deterministic, so counter
@@ -17,8 +16,8 @@
  *    `"metrics"` JSON object carries.
  *  - **spans** — scoped wall-clock intervals (`MetricSpan`) with a
  *    steady-clock begin/end, a thread tag and a nesting depth. Spans
- *    time host-side phases (trace / compile / replay / callback,
- *    retry attempts); they are inherently non-deterministic and are
+ *    time host-side phases (trace / compile / replay / callback);
+ *    they are inherently non-deterministic and are
  *    exported only to the Chrome-trace file, never into result JSON.
  *
  * **Sharding and determinism.** A `MetricsCollector` owns one
@@ -96,13 +95,6 @@ class JobMetrics
     }
 
     const StatSet &counters() const { return counters_; }
-
-    /**
-     * Drop the counters (a retry re-runs the job; the final attempt's
-     * counters are the ones reported). Spans are kept: the span log
-     * spans every attempt.
-     */
-    void clearCounters() { counters_ = StatSet{}; }
 
     /**
      * Open a span: records the begin timestamp, the calling thread's

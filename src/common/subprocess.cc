@@ -1,10 +1,14 @@
 #include "common/subprocess.hh"
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 
+#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -61,17 +65,66 @@ writeAll(int fd, const void *data, size_t len)
     return true;
 }
 
+using Clock = std::chrono::steady_clock;
+
+/**
+ * The wait for the rest of a frame once its first byte has arrived:
+ * unbounded when timeoutMs is 0, else at most timeoutMs in all.
+ */
+struct MidFrameBound
+{
+    uint64_t timeoutMs = 0;
+    Clock::time_point deadline{};
+
+    /** The first byte arrived: the bound starts now. A budget past
+     * the clock's range never expires. */
+    void start()
+    {
+        const auto now = Clock::now();
+        const auto room = std::chrono::duration_cast<
+            std::chrono::milliseconds>(Clock::time_point::max() - now);
+        deadline = uint64_t(room.count()) <= timeoutMs
+                       ? Clock::time_point::max()
+                       : now + std::chrono::milliseconds(timeoutMs);
+    }
+
+    /** Wait until @p fd is readable: Ok, or Corrupt once the bound
+     * expires first, or Error. */
+    ReadStatus wait(int fd) const
+    {
+        if (timeoutMs == 0)
+            return ReadStatus::Ok;
+        for (;;) {
+            const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                deadline - Clock::now());
+            if (left.count() <= 0)
+                return ReadStatus::Corrupt;
+            struct pollfd pfd = {fd, POLLIN, 0};
+            const int n = ::poll(
+                &pfd, 1, int(std::min<int64_t>(left.count(), INT_MAX)));
+            if (n > 0)
+                return ReadStatus::Ok;
+            if (n < 0 && errno != EINTR)
+                return ReadStatus::Error;
+        }
+    }
+};
+
 /**
  * Read exactly @p len bytes. @p started tracks whether any byte of the
  * current frame has already arrived: before that, EINTR surfaces as
  * Interrupted (so a blocked worker can poll its drain flag); after it,
- * the frame is finished or declared Corrupt.
+ * the frame is finished within @p bound or declared Corrupt.
  */
 ReadStatus
-readAll(int fd, void *out, size_t len, bool *started)
+readAll(int fd, void *out, size_t len, bool *started, MidFrameBound *bound)
 {
     char *p = static_cast<char *>(out);
     while (len > 0) {
+        if (*started) {
+            if (const ReadStatus st = bound->wait(fd); st != ReadStatus::Ok)
+                return st;
+        }
         const ssize_t n = ::read(fd, p, len);
         if (n < 0) {
             if (errno == EINTR) {
@@ -83,7 +136,10 @@ readAll(int fd, void *out, size_t len, bool *started)
         }
         if (n == 0)
             return *started ? ReadStatus::Corrupt : ReadStatus::Eof;
-        *started = true;
+        if (!*started) {
+            *started = true;
+            bound->start();
+        }
         p += n;
         len -= size_t(n);
     }
@@ -111,11 +167,12 @@ writeFrame(int fd, FrameType type, std::string_view payload)
 }
 
 ReadStatus
-readFrame(int fd, Frame *out)
+readFrame(int fd, Frame *out, uint64_t midFrameTimeoutMs)
 {
     bool started = false;
+    MidFrameBound bound{midFrameTimeoutMs};
     char header[13];
-    ReadStatus st = readAll(fd, header, sizeof header, &started);
+    ReadStatus st = readAll(fd, header, sizeof header, &started, &bound);
     if (st != ReadStatus::Ok)
         return st;
 
@@ -131,7 +188,7 @@ readFrame(int fd, Frame *out)
     out->type = FrameType(type);
     out->payload.resize(len);
     if (len > 0) {
-        st = readAll(fd, out->payload.data(), len, &started);
+        st = readAll(fd, out->payload.data(), len, &started, &bound);
         if (st != ReadStatus::Ok)
             return st == ReadStatus::Eof ? ReadStatus::Corrupt : st;
     }

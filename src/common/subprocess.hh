@@ -32,7 +32,10 @@
  * transfers (pipes rarely split a 13-byte header, but a
  * one-byte-at-a-time feed must reassemble — tests pin this). An EINTR
  * before the first byte returns `Interrupted` so a worker blocked
- * waiting for its next job can notice a SIGTERM drain promptly.
+ * waiting for its next job can notice a SIGTERM drain promptly. A
+ * reader may bound the rest of a started frame (the coordinator uses
+ * its heartbeat timeout): a peer stopped between a frame's header and
+ * its payload then reads as `Corrupt` instead of blocking the reader.
  * Writers must ignoreSigpipe() first: a write to a dead peer then
  * fails with EPIPE instead of killing the process — exactly the
  * failure the supervisor exists to contain.
@@ -99,9 +102,11 @@ bool writeFrame(int fd, FrameType type, std::string_view payload);
  * byte returns Interrupted; once a frame has started, reads are
  * retried until it completes or the stream ends (a mid-frame EOF is
  * Corrupt — the peer died mid-write). A checksum mismatch is Corrupt
- * too.
+ * too. A nonzero @p midFrameTimeoutMs bounds the wait for the rest of
+ * a started frame: a frame unfinished that long after its first byte
+ * is Corrupt (a peer stopped mid-write). Zero waits forever.
  */
-ReadStatus readFrame(int fd, Frame *out);
+ReadStatus readFrame(int fd, Frame *out, uint64_t midFrameTimeoutMs = 0);
 
 /** One spawned worker process and its two pipe ends (parent's view). */
 struct ChildProcess

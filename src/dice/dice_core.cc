@@ -249,8 +249,8 @@ DiceCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     // Livelock containment, polled once per scheduled block visit (the
     // lane-group loop's unit of forward progress).
     std::optional<Watchdog> wd;
-    if (cfg_.watchdog.enabled())
-        wd.emplace(cfg_.watchdog, "dice replay of '" + k.name + "'");
+    if (watchdog_.enabled())
+        wd.emplace(watchdog_, "dice replay of '" + k.name + "'");
 
     // Per-block attribution for the observability layer: visit counts
     // and active-lane occupancy. Deterministic replay statistics only —

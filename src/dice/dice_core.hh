@@ -93,9 +93,6 @@ struct DiceConfig
      */
     int switchCycles = 4;
 
-    /** Replay ceilings (cycle budget / wall-clock deadline). */
-    WatchdogConfig watchdog{};
-
     /** Well-formedness check, run at job entry by the experiment
      * engine. Empty string when valid. */
     std::string validate() const;
@@ -135,7 +132,13 @@ struct DiceCompiledKernel final : CompiledKernel
 class DiceCore final : public CoreModel
 {
   public:
-    explicit DiceCore(const DiceConfig &cfg = {}) : cfg_(cfg) {}
+    /** @p watchdog bounds each replay (cycle budget / wall-clock
+     * deadline); the default is unlimited. */
+    explicit DiceCore(const DiceConfig &cfg = {},
+                      const WatchdogConfig &watchdog = {})
+        : cfg_(cfg), watchdog_(watchdog)
+    {
+    }
 
     std::string name() const override { return "dice"; }
 
@@ -167,6 +170,7 @@ class DiceCore final : public CoreModel
 
   private:
     DiceConfig cfg_;
+    WatchdogConfig watchdog_;
 };
 
 } // namespace vgiw

@@ -26,13 +26,13 @@ std::unique_ptr<CoreModel>
 makeCoreModel(std::string_view arch, const SystemConfig &cfg)
 {
     if (arch == "vgiw")
-        return std::make_unique<VgiwCore>(cfg.vgiw);
+        return std::make_unique<VgiwCore>(cfg.vgiw, cfg.watchdog);
     if (arch == "fermi")
-        return std::make_unique<FermiCore>(cfg.fermi);
+        return std::make_unique<FermiCore>(cfg.fermi, cfg.watchdog);
     if (arch == "sgmf")
-        return std::make_unique<SgmfCore>(cfg.sgmf);
+        return std::make_unique<SgmfCore>(cfg.sgmf, cfg.watchdog);
     if (arch == "dice")
-        return std::make_unique<DiceCore>(cfg.dice);
+        return std::make_unique<DiceCore>(cfg.dice, cfg.watchdog);
     return nullptr;
 }
 

@@ -83,7 +83,7 @@ class CoreModel
      * pin everything that can change a job's statistics, which is what
      * the result journal keys resumable jobs by. Watchdog budgets are
      * deliberately excluded: they bound a replay without changing its
-     * result, and a resume (or a retry) may legitimately widen them.
+     * result, and a resume may legitimately widen them.
      */
     virtual std::string replayKey() const = 0;
 
@@ -161,7 +161,8 @@ bool isKnownArchitecture(std::string_view arch);
 
 /**
  * Instantiate the core model named @p arch with its configuration taken
- * from @p cfg. Returns nullptr for an unknown architecture name.
+ * from @p cfg: the named core's config plus the one `cfg.watchdog`.
+ * Returns nullptr for an unknown architecture name.
  */
 std::unique_ptr<CoreModel> makeCoreModel(std::string_view arch,
                                          const SystemConfig &cfg);

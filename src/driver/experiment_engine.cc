@@ -297,7 +297,7 @@ ExperimentEngine::runWith(const std::vector<ExperimentJob> &jobs,
 
     // Report restored results up-front in submission order, so
     // progress and failure accounting match an uninterrupted run.
-    const bool reporting = opts_.onResult || opts_.onFailure || opts_.injector;
+    const bool reporting = opts_.onResult || opts_.injector;
     if (reporting) {
         for (size_t i = 0; i < results.size(); ++i) {
             if (results[i].restored)
@@ -340,7 +340,7 @@ JobResult
 ExperimentEngine::execute(const ExperimentJob &job, size_t index,
                           std::chrono::steady_clock::duration prepaid)
 {
-    JobResult r = runJobWithRetry(job, index, prepaid);
+    JobResult r = runJob(job, index, prepaid);
     if (opts_.metrics) {
         // Serialise before the callbacks and the journal so the
         // metrics land in the journaled line (resume re-emits it
@@ -348,59 +348,6 @@ ExperimentEngine::execute(const ExperimentJob &job, size_t index,
         r.metricsJson = opts_.metrics->job(index).countersJson();
     }
     return r;
-}
-
-JobResult
-ExperimentEngine::runJobWithRetry(const ExperimentJob &job, size_t index,
-                                  std::chrono::steady_clock::duration prepaid)
-{
-    const RetryPolicy &rp = opts_.retry;
-    JobMetrics *jm = opts_.metrics ? &opts_.metrics->job(index) : nullptr;
-    for (unsigned attempt = 1;; ++attempt) {
-        ExperimentJob j = job;
-        if (jm && attempt > 1) {
-            // The final attempt's counters are the job's counters; the
-            // span log keeps every attempt (nested under its span).
-            jm->clearCounters();
-        }
-        if (attempt > 1) {
-            // Escalate the watchdog budgets of every core in lockstep
-            // (the job's arch picks the one that matters); runJob
-            // re-anchors the deadline at re-entry, so a retry gets a
-            // fresh wall-clock budget, with no fetch time charged.
-            j.config.vgiw.watchdog =
-                rp.escalate(job.config.vgiw.watchdog, attempt);
-            j.config.fermi.watchdog =
-                rp.escalate(job.config.fermi.watchdog, attempt);
-            j.config.sgmf.watchdog =
-                rp.escalate(job.config.sgmf.watchdog, attempt);
-            j.config.dice.watchdog =
-                rp.escalate(job.config.dice.watchdog, attempt);
-        }
-        JobResult out;
-        {
-            MetricSpan attempt_span(jm, "attempt");
-            out = runJob(j, index,
-                         attempt == 1 ? prepaid
-                                      : std::chrono::steady_clock::duration{});
-        }
-        out.attempts = attempt;
-        if (jm)
-            jm->set("engine.attempts", double(attempt));
-        if (out.ok())
-            return out;
-        const bool draining = stopRequested();
-        if (!draining && rp.shouldRetry(out.errorKind, attempt))
-            continue;
-        // Terminal failure. Quarantined = the kind was retryable and
-        // the configured budget is exhausted; a drain abandons the
-        // loop without quarantining (a resume will retry afresh), and
-        // fail-fast kinds are plain failures, as without a policy.
-        out.quarantined = !draining && rp.maxAttempts > 1 &&
-                          RetryPolicy::retryableKind(out.errorKind) &&
-                          attempt >= rp.maxAttempts;
-        return out;
-    }
 }
 
 std::string
@@ -460,22 +407,6 @@ ExperimentEngine::report(size_t index, JobResult &result)
         result.error = "onResult callback threw a non-standard exception";
         result.errorKind = SimErrorKind::Internal;
     }
-
-    if (opts_.onFailure && !result.ok()) {
-        try {
-            opts_.onFailure(result);
-        } catch (const std::exception &e) {
-            result.error += "; onFailure callback threw: ";
-            result.error += e.what();
-            if (result.errorKind == SimErrorKind::None)
-                result.errorKind = SimErrorKind::Internal;
-        } catch (...) {
-            result.error += "; onFailure callback threw a non-standard "
-                            "exception";
-            if (result.errorKind == SimErrorKind::None)
-                result.errorKind = SimErrorKind::Internal;
-        }
-    }
 }
 
 JobResult
@@ -516,7 +447,7 @@ ExperimentEngine::runJob(const ExperimentJob &job, size_t index,
         // long, so the job pays for the functional execution exactly
         // as it would at --jobs 1.
         SystemConfig cfg = job.config;
-        cfg.anchorWatchdogs(std::chrono::steady_clock::now() - prepaid);
+        cfg.watchdog.anchor = std::chrono::steady_clock::now() - prepaid;
         auto model = makeCoreModel(job.arch, cfg);
 
         TraceResult traced;

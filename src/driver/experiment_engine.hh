@@ -26,24 +26,24 @@
  * uncompilable kernel, functional/golden failure, watchdog trip, even
  * an invariant violation (vgiw_panic) inside replay — is recorded in
  * that job's result as a typed SimErrorKind (and reported through the
- * failure callback) and the sweep keeps going. Each job runs under a
+ * result callback) and the sweep keeps going. Each job runs under a
  * PanicCaptureScope, its config is validated before any simulation
- * state is built, and user callbacks are guarded so a throwing
+ * state is built, and the user callback is guarded so a throwing
  * observer cannot terminate a worker thread. One broken sweep point
- * never aborts the process.
+ * never aborts the process. Each job runs exactly once: a replay is a
+ * deterministic function of (traces, compiled artifact, config), so
+ * running it again would reproduce the failure; a job that needs a
+ * larger budget gets it from its config's watchdog.
  *
  * Durability: with a ResultJournal attached, every terminal JobResult
  * is fsync'd to disk (keyed by jobKey) before the sweep moves on, and
  * a resumed engine skips jobs whose keys the journal already holds —
  * their slots are satisfied verbatim from the journal, so the merged
  * output of a killed-and-resumed sweep is bit-identical to an
- * uninterrupted one. A RetryPolicy re-runs budget-sensitive failures
- * (watchdog/internal) with escalating watchdog budgets and quarantines
- * jobs that exhaust their attempts; deterministic failures fail fast.
- * A stop flag (usually &drainFlag(), set by SIGINT/SIGTERM) drains the
- * pool gracefully: no new jobs are dequeued, in-flight jobs finish or
- * trip their watchdogs, and undispatched slots come back marked
- * `drained`.
+ * uninterrupted one. A stop flag (usually &drainFlag(), set by
+ * SIGINT/SIGTERM) drains the pool gracefully: no new jobs are
+ * dequeued, in-flight jobs finish or trip their watchdogs, and
+ * undispatched slots come back marked `drained`.
  */
 
 #ifndef VGIW_DRIVER_EXPERIMENT_ENGINE_HH
@@ -63,7 +63,6 @@
 #include "driver/core_model.hh"
 #include "driver/result_journal.hh"
 #include "driver/result_table.hh"
-#include "driver/retry_policy.hh"
 #include "driver/run_stats.hh"
 #include "driver/system_config.hh"
 #include "driver/trace_cache.hh"
@@ -114,9 +113,12 @@ struct JobResult
     };
     PartialProgress partial;
 
-    /** Attempts consumed (1 unless a RetryPolicy re-ran the job). */
+    /** Dispatches consumed. The engine runs a job once; only the
+     * shard supervisor sets more, re-dispatching a job whose worker
+     * died. */
     unsigned attempts = 1;
-    /** Failed with a retryable kind and exhausted its retry budget. */
+    /** The shard supervisor gave up on the job after its workers
+     * crashed on every dispatch. */
     bool quarantined = false;
 
     /** Satisfied verbatim from a resume journal, not executed. */
@@ -136,8 +138,7 @@ struct JobResult
      * the job's JobMetrics sink; empty unless a MetricsCollector was
      * attached. When present, the rendered row appends it as a
      * `"metrics"` object — so with metrics disabled the JSON stays
-     * bit-identical to the metrics-free engine. For a retried job
-     * these are the final attempt's counters.
+     * bit-identical to the metrics-free engine.
      */
     std::string metricsJson;
 
@@ -215,33 +216,22 @@ struct EngineOptions
     unsigned jobs = 0;
 
     /**
-     * Invoked (serialised) as each job finishes, with the job's index in
-     * the submission order — progress reporting for long sweeps.
+     * Invoked (serialised) as each job finishes, ok or failed, with the
+     * job's index in the submission order — progress and failure
+     * reporting for long sweeps (a failed job, `!r.ok()`, is skipped,
+     * not fatal). Guarded: an exception it throws marks the job as an
+     * `internal` failure instead of terminating the worker jthread (an
+     * unguarded throw would std::terminate the process — exactly the
+     * failure mode this engine exists to avoid).
      */
     std::function<void(size_t index, const JobResult &)> onResult;
 
     /**
-     * Invoked (serialised) when a job fails (golden mismatch, unknown
-     * workload/arch, model exception) — the job is skipped, not fatal.
-     */
-    std::function<void(const JobResult &)> onFailure;
-
-    /**
-     * Both callbacks are guarded: an exception thrown by either marks
-     * the job as an `internal` failure instead of terminating the
-     * worker jthread (an unguarded throw would std::terminate the
-     * process — exactly the failure mode this engine exists to avoid).
-     *
      * Optional fault-injection harness (tests only); not owned. When
      * set, the engine fires the trace/compile/replay/callback points
-     * as each job passes through them (and a shard worker the send
-     * point).
+     * as each job passes through them.
      */
     FaultInjector *injector = nullptr;
-
-    /** Per-kind retry/quarantine policy; the default (maxAttempts 1)
-     * disables retries and reproduces the policy-free engine. */
-    RetryPolicy retry{};
 
     /**
      * Optional durable result journal; not owned. Must be open
@@ -255,13 +245,12 @@ struct EngineOptions
      * Optional per-job metrics collection; not owned. When set, the
      * engine sizes the collector to the job list (one JobMetrics slot
      * per job, labelled with its jobKey), wraps every pipeline stage
-     * in spans — each retry attempt as an `attempt` span with
-     * `trace`/`compile`/`replay` nested under it, plus a `callback`
-     * span around the serialised reporting — and installs the job's
-     * sink as the worker's thread-local currentMetricSink() so the
-     * core model's replay loop can emit per-block counters without an
-     * API change. After run(), each executed (non-restored) job's
-     * deterministic counters are serialised into
+     * in a depth-0 span — `trace`, `compile`, `replay`, plus a
+     * `callback` span around the serialised reporting — and installs
+     * the job's sink as the worker's thread-local currentMetricSink()
+     * so the core model's replay loop can emit per-block counters
+     * without an API change. After run(), each executed (non-restored)
+     * job's deterministic counters are serialised into
      * JobResult::metricsJson and the collector holds the span log for
      * Chrome-trace export. Null (the default) keeps every
      * instrumentation site at one never-taken branch.
@@ -286,8 +275,8 @@ struct EngineOptions
      * Optional graceful-drain flag; not owned. When it becomes true
      * (a signal handler, another thread, a callback), workers stop
      * dequeueing: in-flight jobs finish (or trip their watchdogs) and
-     * are journaled, pending retries are abandoned, and every
-     * undispatched job's slot is returned with `drained == true`.
+     * are journaled, and every undispatched job's slot is returned
+     * with `drained == true`.
      */
     const std::atomic<bool> *stop = nullptr;
 };
@@ -336,7 +325,7 @@ class ExperimentEngine
      * registered architecture under @p cfg, one run() over all of them,
      * assembled into ArchComparisons in the order given. A workload
      * any of whose jobs fails — golden check, replay, watchdog, panic
-     * — is reported via onFailure and returned with goldenPassed ==
+     * — is reported via onResult and returned with goldenPassed ==
      * false and goldenError set to its first failing job's error; it is
      * never thrown.
      */
@@ -405,20 +394,16 @@ class ExperimentEngine
      * metrics slots) for @p jobs. */
     void beginSweep(const std::vector<ExperimentJob> &jobs);
 
-    /** One job, start to terminal result: runJobWithRetry plus the
-     * metrics serialisation. Pure of sweep bookkeeping, so a shard
-     * worker runs exactly this. @p prepaid is the time a pool worker
-     * spent fetching this job's traces on its behalf before dispatch;
-     * the first attempt's wall-clock deadline is charged for it. */
+    /** One job, start to terminal result: runJob plus the metrics
+     * serialisation. Pure of sweep bookkeeping, so a shard worker runs
+     * exactly this. @p prepaid is the time a pool worker spent
+     * fetching this job's traces on its behalf before dispatch; the
+     * job's wall-clock deadline is charged for it. */
     JobResult execute(const ExperimentJob &job, size_t index,
                       std::chrono::steady_clock::duration prepaid = {});
 
     JobResult runJob(const ExperimentJob &job, size_t index,
                      std::chrono::steady_clock::duration prepaid);
-    /** runJob under the RetryPolicy: escalating watchdog budgets per
-     * attempt, quarantine on exhaustion, drain-aware. */
-    JobResult runJobWithRetry(const ExperimentJob &job, size_t index,
-                              std::chrono::steady_clock::duration prepaid);
     /** The multi-worker executor of run(): each worker takes the
      * next workload fetch while one is left, else the first ready job
      * of @p pending in longestFirst order, else waits for a fetch to
@@ -431,8 +416,8 @@ class ExperimentEngine
     {
         return opts_.stop && opts_.stop->load(std::memory_order_acquire);
     }
-    /** Serialised onResult/onFailure dispatch with the callback guard
-     * (and the callback injection point) applied. */
+    /** Serialised onResult dispatch with the callback guard (and the
+     * callback injection point) applied. */
     void report(size_t index, JobResult &result);
 
     EngineOptions opts_;

@@ -145,32 +145,10 @@ FaultInjector::armCorrupt(Point p, size_t job_index)
 }
 
 void
-FaultInjector::armTransient(Point p, size_t job_index,
-                            unsigned fail_count,
-                            std::function<void()> fault)
-{
-    if (fail_count == 0)
-        return;  // "fail zero attempts" arms nothing
-    if (!fault) {
-        const std::string what =
-            std::string("injected transient fault at ") + pointName(p) +
-            " point";
-        // Internal-kind: retryable under the default RetryPolicy, so
-        // the recover-after-retry path is what gets exercised.
-        fault = [what]() {
-            throw SimError(SimErrorKind::Internal, what);
-        };
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    armed_[Key(uint8_t(p), job_index)] =
-        Rule{std::move(fault), fail_count};
-}
-
-void
 FaultInjector::arm(Point p, size_t job_index, std::function<void()> fault)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    armed_[Key(uint8_t(p), job_index)] = Rule{std::move(fault), 1};
+    armed_[Key(uint8_t(p), job_index)] = std::move(fault);
 }
 
 void
@@ -182,12 +160,8 @@ FaultInjector::fire(Point p, size_t job_index)
         auto it = armed_.find(Key(uint8_t(p), job_index));
         if (it == armed_.end())
             return;
-        if (--it->second.remaining == 0) {
-            fault = std::move(it->second.fault);
-            armed_.erase(it);  // exhausted: later firings pass clean
-        } else {
-            fault = it->second.fault;  // transient: more firings left
-        }
+        fault = std::move(it->second);
+        armed_.erase(it);  // fired: later firings pass clean
     }
     fired_.fetch_add(1);
     fault();  // outside the lock: the fault may stall or rethrow

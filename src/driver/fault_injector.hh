@@ -15,8 +15,8 @@
  *   trace    — before the TraceCache functional execution
  *   compile  — before the CompileCache place-and-route
  *   replay   — before CoreModel::run (after a compiled artifact exists)
- *   callback — inside the serialised onResult/onFailure region, as if
- *              the user's callback itself threw
+ *   callback — inside the serialised onResult region, as if the
+ *              user's callback itself threw
  *
  * Canned actions: Throw (an untyped std::runtime_error, exercising the
  * unclassified-exception paths), Panic (a real vgiw_panic, exercising
@@ -109,25 +109,12 @@ class FaultInjector
      * compile-kind at compile, a panic at replay, a throw at callback. */
     void armCorrupt(Point p, size_t job_index);
 
-    /**
-     * A *transient* fault: the first @p fail_count firings of
-     * (@p p, @p job_index) detonate @p fault, after which the point
-     * passes clean. With the engine's retry loop re-firing the same
-     * (point, job) pair once per attempt, this deterministically
-     * exercises recover-after-retry: attempts 1..fail_count fail,
-     * attempt fail_count+1 succeeds. The default fault throws a
-     * retryable `internal`-kind SimError.
-     */
-    void armTransient(Point p, size_t job_index, unsigned fail_count,
-                      std::function<void()> fault = {});
-
     /** Arm an arbitrary fault; @p fault may throw, panic or sleep. */
     void arm(Point p, size_t job_index, std::function<void()> fault);
 
     /**
      * Engine hook: detonate the fault armed at (@p p, @p job_index), if
-     * any. A rule fires at most its armed count of times (once, except
-     * for armTransient). May throw whatever the fault throws.
+     * any. A rule fires once. May throw whatever the fault throws.
      */
     void fire(Point p, size_t job_index);
 
@@ -137,15 +124,8 @@ class FaultInjector
   private:
     using Key = std::pair<uint8_t, size_t>;  // (point, job index)
 
-    /** An armed fault and how many more firings detonate it. */
-    struct Rule
-    {
-        std::function<void()> fault;
-        unsigned remaining = 1;
-    };
-
     std::mutex mu_;
-    std::map<Key, Rule> armed_;
+    std::map<Key, std::function<void()>> armed_;
     std::atomic<uint64_t> fired_{0};
 };
 

@@ -50,7 +50,9 @@ struct JournalEntry
     std::string key;     ///< ExperimentEngine::jobKey of the job
     bool ok = false;     ///< the job ran and succeeded
     bool golden = false; ///< golden check verdict
-    bool quarantined = false;  ///< failed and exhausted its retries
+    /** The shard supervisor gave up on the job: its worker crashed
+     * on every dispatch. */
+    bool quarantined = false;
     /** The exact JSON line the run emitted for this job; resume
      * re-emits these bytes verbatim (bit-identity). If the original
      * run collected metrics, its "metrics" object is embedded here and

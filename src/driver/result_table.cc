@@ -80,8 +80,8 @@ renderJobLine(const JobResult &r)
         appendU64Field(out, "partial_block_execs", r.partial.dynBlockExecs);
         appendU64Field(out, "partial_thread_ops", r.partial.dynThreadOps);
     }
-    // Retry bookkeeping, failures only: a healthy suite's lines stay
-    // byte-identical to the retry-free engine's output.
+    // Shard crash bookkeeping, failures only: a healthy suite's lines
+    // carry neither field.
     if (!ok) {
         if (r.attempts > 1)
             appendU64Field(out, "attempts", r.attempts);

@@ -53,8 +53,8 @@ class ResultTable
 
     /**
      * Render @p r into row @p index. Safe to call concurrently for
-     * distinct rows. May be called again for the same row (a retry or
-     * callback demotion re-fills it); the last fill wins.
+     * distinct rows. May be called again for the same row (a callback
+     * demotion re-fills it); the last fill wins.
      */
     void fill(size_t index, const JobResult &r);
 

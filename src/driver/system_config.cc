@@ -59,24 +59,6 @@ SystemConfig::jobFingerprint(std::string_view arch) const
 }
 
 void
-SystemConfig::setWatchdog(const WatchdogConfig &wd)
-{
-    vgiw.watchdog = wd;
-    fermi.watchdog = wd;
-    sgmf.watchdog = wd;
-    dice.watchdog = wd;
-}
-
-void
-SystemConfig::anchorWatchdogs(std::chrono::steady_clock::time_point t)
-{
-    vgiw.watchdog.anchor = t;
-    fermi.watchdog.anchor = t;
-    sgmf.watchdog.anchor = t;
-    dice.watchdog.anchor = t;
-}
-
-void
 SystemConfig::printTable1(std::ostream &os) const
 {
     const GridConfig &g = vgiw.grid;

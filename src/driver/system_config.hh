@@ -8,7 +8,6 @@
 #ifndef VGIW_DRIVER_SYSTEM_CONFIG_HH
 #define VGIW_DRIVER_SYSTEM_CONFIG_HH
 
-#include <chrono>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -36,6 +35,15 @@ struct SystemConfig
     DiceConfig dice{};
 
     /**
+     * Replay ceilings (cycle budget / wall-clock deadline) of whichever
+     * core runs the job; makeCoreModel hands them to the core. The
+     * experiment engine sets the deadline's anchor to the job-entry
+     * time, so tracing, compilation and replay share one per-job
+     * budget.
+     */
+    WatchdogConfig watchdog{};
+
+    /**
      * Well-formedness check of the clock domains plus every core
      * configuration. Returns an empty string when valid, otherwise the
      * first diagnostic found.
@@ -56,20 +64,10 @@ struct SystemConfig
      * a job's statistics on @p arch: the clock domains plus the named
      * architecture's compile and replay keys. This is the config slice
      * of the result journal's job key (see ExperimentEngine::jobKey);
-     * watchdog budgets are excluded by contract — a resume or retry
-     * may widen them without invalidating completed results.
+     * watchdog budgets are excluded by contract — a resume may widen
+     * them without invalidating completed results.
      */
     std::string jobFingerprint(std::string_view arch) const;
-
-    /** Apply the same replay ceilings to every core model. */
-    void setWatchdog(const WatchdogConfig &wd);
-
-    /**
-     * Re-anchor every core's wall-clock deadline at @p t. The
-     * experiment engine calls this with the job-entry time so tracing,
-     * compilation and replay share one per-job budget.
-     */
-    void anchorWatchdogs(std::chrono::steady_clock::time_point t);
 
     /** Print the Table 1 configuration summary. */
     void printTable1(std::ostream &os) const;

@@ -26,6 +26,11 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
+/** Dispatches a job gets before a worker crash on each one makes it a
+ * terminal, quarantined `worker_crash` row: one environmental crash
+ * does not poison a job, a job that kills every worker does. */
+constexpr unsigned kMaxDispatches = 2;
+
 // ---------------------------------------------------------------------
 // Payload codecs. Native layout: the peers are fork()s of one process;
 // the frame layer adds length + checksum.
@@ -35,7 +40,6 @@ enum : uint8_t
     kMsgGolden = 1 << 0,
     kMsgRan = 1 << 1,
     kMsgSupported = 1 << 2,
-    kMsgQuarantined = 1 << 3,
 };
 
 void
@@ -87,11 +91,8 @@ encodeResultMsg(uint64_t index, const JobResult &r,
         flags |= kMsgRan;
     if (r.stats.supported)
         flags |= kMsgSupported;
-    if (r.quarantined)
-        flags |= kMsgQuarantined;
     w.u8(flags);
     w.u8(uint8_t(r.errorKind));
-    w.u32(r.attempts);
     w.u64(r.stats.cycles);
     for (size_t c = 0; c < kNumEnergyComponents; ++c)
         w.f64(r.stats.energy.get(EnergyComponent(c)));
@@ -115,9 +116,7 @@ decodeResultMsg(const std::string &payload, uint64_t *index, JobResult *out)
     out->goldenPassed = flags & kMsgGolden;
     out->ran = flags & kMsgRan;
     out->stats.supported = flags & kMsgSupported;
-    out->quarantined = flags & kMsgQuarantined;
     out->errorKind = SimErrorKind(rd.u8());
-    out->attempts = rd.u32();
     out->stats.cycles = rd.u64();
     for (size_t c = 0; c < kNumEnergyComponents; ++c)
         out->stats.energy.add(EnergyComponent(c), rd.f64());
@@ -347,8 +346,6 @@ ShardSupervisor::supervise(const std::vector<ExperimentJob> &jobs,
                            const std::vector<size_t> &pending,
                            const ExperimentEngine::Deliver &deliver)
 {
-    const RetryPolicy &retry = opts_.engine.retry;
-
     struct Slot
     {
         size_t id = 0;
@@ -474,10 +471,12 @@ ShardSupervisor::supervise(const std::vector<ExperimentJob> &jobs,
     };
 
     /** Read one frame off the worker's pipe and act on it; an
-     * unusable frame reads as Corrupt, which ends the worker. */
+     * unusable frame, or one still unfinished a heartbeat timeout
+     * after its first byte, reads as Corrupt, which ends the worker. */
     auto readOne = [&](Slot &s) {
         Frame frame;
-        ReadStatus st = readFrame(s.cp.fromChild, &frame);
+        ReadStatus st =
+            readFrame(s.cp.fromChild, &frame, opts_.heartbeatTimeoutMs);
         if (st == ReadStatus::Ok && !handleFrame(s, frame))
             st = ReadStatus::Corrupt;
         return st;
@@ -516,10 +515,8 @@ ShardSupervisor::supervise(const std::vector<ExperimentJob> &jobs,
                          "%s (attempt %u/%u)\n",
                          s.id, int(s.cp.pid), jobs[i].workload.c_str(),
                          jobs[i].arch.c_str(), why.c_str(),
-                         dispatches[i],
-                         retry.attemptBudget(SimErrorKind::WorkerCrash));
-            if (!retry.shouldRetry(SimErrorKind::WorkerCrash,
-                                   dispatches[i])) {
+                         dispatches[i], kMaxDispatches);
+            if (dispatches[i] >= kMaxDispatches) {
                 crash(i, "worker crashed: " + why);
             } else if (!draining) {
                 queue.push_front(i);
@@ -635,6 +632,12 @@ ShardSupervisor::supervise(const std::vector<ExperimentJob> &jobs,
                                   std::to_string(opts_.jobDeadlineMs) +
                                   " ms); killed";
             } else if (overran(s.lastBeat, opts_.heartbeatTimeoutMs)) {
+                // Frames left unread while the coordinator waited out
+                // another worker's stalled frame are not silence: the
+                // next poll reads them.
+                struct pollfd pfd = {s.cp.fromChild, POLLIN, 0};
+                if (::poll(&pfd, 1, 0) > 0 && (pfd.revents & POLLIN))
+                    continue;
                 ++stats_.heartbeatMisses;
                 s.pendingReason = "heartbeat silent for " +
                                   std::to_string(opts_.heartbeatTimeoutMs) +

@@ -10,7 +10,7 @@
  * so a hard fault costs one worker, not the sweep:
  *
  *  - **One job loop**: the sweep bookkeeping — journal restore and
- *    append, guarded onResult/onFailure, the ResultTable — is
+ *    append, the guarded onResult, the ResultTable — is
  *    ExperimentEngine's, exactly as in-process. The supervisor is only
  *    the engine's executor for pending jobs, and keeps the process
  *    concerns: spawn, heartbeat, deadline kill, reap and frame I/O.
@@ -21,10 +21,11 @@
  *    back over a checksummed pipe protocol (common/subprocess).
  *  - **Dispatch**: one FIFO of pending jobs; whichever worker is idle
  *    takes its front. A job whose worker died goes back to the front
- *    and is re-dispatched to a fresh worker while
- *    RetryPolicy::shouldRetry(WorkerCrash, n) allows (by default once),
- *    then recorded as a terminal, quarantined `worker_crash` row. A
- *    dead worker is respawned on the next supervision tick.
+ *    and is re-dispatched to a fresh worker once (two dispatches in
+ *    all), then recorded as a terminal, quarantined `worker_crash`
+ *    row. This crash budget is the only re-run anywhere: the engine
+ *    runs every job once. A dead worker is respawned on the next
+ *    supervision tick.
  *  - **Supervision**: workers send heartbeats; the coordinator enforces
  *    a heartbeat timeout and an optional per-job wall-clock deadline.
  *    A frame the coordinator cannot use — a bad checksum, a Result
@@ -99,14 +100,14 @@ struct ShardOptions
 
     /**
      * The sweep options, with in-process meaning: journal (written by
-     * the coordinator only), onResult/onFailure (called in the
-     * coordinator), stop, and retry (soft failures retry inside the
-     * worker; its attemptBudget(WorkerCrash) bounds dispatches). The
-     * artifact store and the injector are used by every worker as
-     * they stand at its fork. A non-null `metrics` makes each worker
-     * collect into its own collector, so lines carry the same
-     * "metrics" object as in-process; the coordinator's collector
-     * sees only the callback spans. `jobs` is unused.
+     * the coordinator only), onResult (called in the coordinator) and
+     * stop. Each worker runs a job once, as the in-process engine
+     * does; the supervisor's fixed crash budget of two dispatches is
+     * not an option. The artifact store and the injector are used by
+     * every worker as they stand at its fork. A non-null `metrics`
+     * makes each worker collect into its own collector, so lines carry
+     * the same "metrics" object as in-process; the coordinator's
+     * collector sees only the callback spans. `jobs` is unused.
      */
     EngineOptions engine{};
 

@@ -239,8 +239,8 @@ SgmfCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     // so the cycle ceiling is checked against the issue-cycle proxy
     // (injections per replica), polled once per thread epoch.
     std::optional<Watchdog> wd;
-    if (cfg_.watchdog.enabled())
-        wd.emplace(cfg_.watchdog, "sgmf replay of '" + k.name + "'");
+    if (watchdog_.enabled())
+        wd.emplace(watchdog_, "sgmf replay of '" + k.name + "'");
 
     for (uint32_t tid = 0; tid < traces.numThreads(); ++tid) {
         if (wd) {

@@ -48,13 +48,6 @@ struct SgmfConfig
     uint32_t missWindow = 512;
     int maxReplicas = 8;
 
-    /**
-     * Replay ceilings. SGMF's injection loop is not cycle-stepped, so
-     * maxReplayCycles is checked against the issue-cycle proxy
-     * (injections / replicas).
-     */
-    WatchdogConfig watchdog{};
-
     /** Well-formedness check, run at job entry by the experiment
      * engine. Empty string when valid. */
     std::string validate() const;
@@ -82,7 +75,15 @@ struct SgmfCompiledKernel final : CompiledKernel
 class SgmfCore final : public CoreModel
 {
   public:
-    explicit SgmfCore(const SgmfConfig &cfg = {}) : cfg_(cfg) {}
+    /** @p watchdog bounds each replay; the default is unlimited.
+     * SGMF's injection loop is not cycle-stepped, so maxReplayCycles
+     * is checked against the issue-cycle proxy (injections /
+     * replicas). */
+    explicit SgmfCore(const SgmfConfig &cfg = {},
+                      const WatchdogConfig &watchdog = {})
+        : cfg_(cfg), watchdog_(watchdog)
+    {
+    }
 
     std::string name() const override { return "sgmf"; }
 
@@ -115,6 +116,7 @@ class SgmfCore final : public CoreModel
 
   private:
     SgmfConfig cfg_;
+    WatchdogConfig watchdog_;
 };
 
 } // namespace vgiw

@@ -358,8 +358,8 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     // Livelock containment: polled once per scheduler iteration (every
     // issue, terminator or idle-advance — the loop's unit of work).
     std::optional<Watchdog> wd;
-    if (cfg_.watchdog.enabled())
-        wd.emplace(cfg_.watchdog, "fermi replay of '" + k.name + "'");
+    if (watchdog_.enabled())
+        wd.emplace(watchdog_, "fermi replay of '" + k.name + "'");
 
     while (!resident.empty()) {
         if (wd)

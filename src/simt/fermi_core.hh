@@ -50,9 +50,6 @@ struct FermiConfig
     uint32_t aluDependencyLatency = 20;
     uint32_t sharedLatency = 24;
 
-    /** Replay ceilings (cycle budget / wall-clock deadline). */
-    WatchdogConfig watchdog{};
-
     /**
      * Well-formedness check, run at job entry by the experiment engine.
      * The warp state arrays are 32 wide and scheduling divides by the
@@ -97,7 +94,13 @@ struct FermiCompiledKernel final : CompiledKernel
 class FermiCore final : public CoreModel
 {
   public:
-    explicit FermiCore(const FermiConfig &cfg = {}) : cfg_(cfg) {}
+    /** @p watchdog bounds each replay (cycle budget / wall-clock
+     * deadline); the default is unlimited. */
+    explicit FermiCore(const FermiConfig &cfg = {},
+                       const WatchdogConfig &watchdog = {})
+        : cfg_(cfg), watchdog_(watchdog)
+    {
+    }
 
     std::string name() const override { return "fermi"; }
 
@@ -124,6 +127,7 @@ class FermiCore final : public CoreModel
 
   private:
     FermiConfig cfg_;
+    WatchdogConfig watchdog_;
 };
 
 } // namespace vgiw

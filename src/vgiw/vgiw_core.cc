@@ -282,8 +282,8 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     // clock, polled once per scheduled block vector (the BBS loop's
     // unit of forward progress).
     std::optional<Watchdog> wd;
-    if (cfg_.watchdog.enabled())
-        wd.emplace(cfg_.watchdog, "vgiw replay of '" + k.name + "'");
+    if (watchdog_.enabled())
+        wd.emplace(watchdog_, "vgiw replay of '" + k.name + "'");
 
     // Per-block attribution for the observability layer: CVT drains,
     // LVC hit/miss traffic per block and the coalesced-vector-size

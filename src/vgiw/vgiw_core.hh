@@ -75,9 +75,6 @@ struct VgiwConfig
     uint32_t lvcBytes = 64 * 1024;
     uint32_t lvcHitLatency = 6;
 
-    /** Replay ceilings (cycle budget / wall-clock deadline). */
-    WatchdogConfig watchdog{};
-
     /**
      * Well-formedness check, run at job entry by the experiment engine
      * so a malformed sweep point fails fast as a `config`-kind error
@@ -114,7 +111,13 @@ struct VgiwCompiledKernel final : CompiledKernel
 class VgiwCore final : public CoreModel
 {
   public:
-    explicit VgiwCore(const VgiwConfig &cfg = {}) : cfg_(cfg) {}
+    /** @p watchdog bounds each replay (cycle budget / wall-clock
+     * deadline); the default is unlimited. */
+    explicit VgiwCore(const VgiwConfig &cfg = {},
+                      const WatchdogConfig &watchdog = {})
+        : cfg_(cfg), watchdog_(watchdog)
+    {
+    }
 
     std::string name() const override { return "vgiw"; }
     std::string compileKey() const override;
@@ -142,6 +145,7 @@ class VgiwCore final : public CoreModel
 
   private:
     VgiwConfig cfg_;
+    WatchdogConfig watchdog_;
 };
 
 } // namespace vgiw

@@ -36,19 +36,6 @@ TEST(JobMetrics, EmptyCountersSerialiseAsEmptyObject)
     EXPECT_EQ(m.countersJson(), "{}");
 }
 
-TEST(JobMetrics, ClearCountersKeepsSpans)
-{
-    JobMetrics m;
-    m.add("x", 3.0);
-    {
-        MetricSpan s(&m, "attempt");
-    }
-    m.clearCounters();
-    EXPECT_EQ(m.countersJson(), "{}");
-    ASSERT_EQ(m.spans().size(), 1u);
-    EXPECT_EQ(m.spans()[0].name, "attempt");
-}
-
 TEST(JobMetrics, SpanNestingRecordsDepth)
 {
     JobMetrics m;

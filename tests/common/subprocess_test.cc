@@ -3,7 +3,8 @@
  * Subprocess-layer tests: frames round-trip over real pipes (including
  * a one-byte-at-a-time feed), every detected corruption (a checksum
  * mismatch in the payload or the header, a torn frame, an oversized
- * length, mid-frame peer death) reads as Corrupt, and
+ * length, mid-frame peer death, a payload that does not arrive within
+ * the reader's bound) reads as Corrupt, and
  * spawnChild/waitChild classify clean exits and signal deaths
  * correctly. Fork-based: these suites are deliberately outside the
  * sanitizer allowlist filters.
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <string>
@@ -191,6 +193,28 @@ TEST(Subprocess, MidFramePeerDeathIsCorruptNotEof)
     p.closeWrite();
     Frame f;
     EXPECT_EQ(readFrame(p.readEnd(), &f), ReadStatus::Corrupt);
+}
+
+TEST(Subprocess, StalledPayloadIsCorruptWithinTheBound)
+{
+    // The peer is alive but stopped after the header: its write end
+    // stays open, so only the reader's mid-frame bound ends the wait.
+    Pipe capture;
+    ASSERT_TRUE(writeFrame(capture.writeEnd(), FrameType::Result,
+                           std::string(500, 'z')));
+    char header[13];
+    ASSERT_EQ(::read(capture.readEnd(), header, sizeof header),
+              ssize_t(sizeof header));
+
+    Pipe p;
+    ASSERT_EQ(::write(p.writeEnd(), header, sizeof header),
+              ssize_t(sizeof header));
+    Frame f;
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(readFrame(p.readEnd(), &f, 200), ReadStatus::Corrupt);
+    const auto waited = std::chrono::steady_clock::now() - t0;
+    EXPECT_GE(waited, std::chrono::milliseconds(200));
+    EXPECT_LT(waited, std::chrono::seconds(5));
 }
 
 TEST(Subprocess, OversizedLengthIsCorruptNotAllocated)

@@ -7,18 +7,21 @@
  * result. The multi-worker trace fetches must contain every failure a
  * functional execution can raise, charge their time to the job they
  * traced for, honour a stop request, and dispatch jobs longest-first,
- * each as soon as its own workload is traced.
+ * each as soon as its own workload is traced. A stop request mid-sweep
+ * finishes the in-flight job and drains the rest; SIGTERM sets it.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <future>
 #include <stdexcept>
 #include <thread>
 
+#include "common/signal_drain.hh"
 #include "driver/experiment_engine.hh"
 #include "driver/result_journal.hh"
 #include "ir/builder.hh"
@@ -121,7 +124,9 @@ TEST(ExperimentEngine, GoldenFailureIsSkippedNotFatal)
     std::atomic<int> failures{0};
     EngineOptions opts;
     opts.jobs = 2;
-    opts.onFailure = [&failures](const JobResult &r) {
+    opts.onResult = [&failures](size_t, const JobResult &r) {
+        if (r.ok())
+            return;
         ++failures;
         EXPECT_EQ(r.workload, "SYNTH/always_fails");
     };
@@ -228,7 +233,10 @@ TEST(ExperimentEngine, CompareReportsFailuresInsteadOfThrowing)
     // the order given, without disturbing its neighbours.
     std::vector<std::string> failed;
     EngineOptions opts;
-    opts.onFailure = [&](const JobResult &r) { failed.push_back(r.arch); };
+    opts.onResult = [&](size_t, const JobResult &r) {
+        if (!r.ok())
+            failed.push_back(r.arch);
+    };
     ExperimentEngine engine(opts);
     auto cs = engine.compare({"NN/euclid", "NOPE/nope"});
     ASSERT_EQ(cs.size(), 2u);
@@ -247,7 +255,7 @@ TEST(ExperimentEngine, CompareFlagsReplayFailuresNotJustGoldenOnes)
     SystemConfig cfg;
     WatchdogConfig wd;
     wd.maxReplayCycles = 10;
-    cfg.setWatchdog(wd);
+    cfg.watchdog = wd;
     ArchComparison c = ExperimentEngine{}.compare({"BFS/Kernel"}, cfg)
                            .front();
     EXPECT_FALSE(c.goldenPassed);
@@ -541,7 +549,7 @@ TEST(ExperimentEngine, PrepassTimeCountsAgainstTheTracedJobsDeadline)
     };
     WatchdogConfig wd;
     wd.deadlineMs = 20;
-    jobs[0].config.setWatchdog(wd);
+    jobs[0].config.watchdog = wd;
     jobs[1] = jobs[0];
     jobs[1].arch = "fermi";
 
@@ -597,9 +605,10 @@ TEST(ExperimentEngine, StopBeforeRunDrainsEveryJobWithoutTracing)
 
 TEST(ExperimentEngine, PrepassTraceSpanLandsOnFirstDispatchedJob)
 {
-    // Two workloads, two archs each. The pre-pass fetch is a depth-0
-    // `trace` span in the sink of each workload's first job; every
-    // job still records its own (cache-hit) trace under its attempt.
+    // Two workloads, two archs each. The pre-pass fetch is a `trace`
+    // span in the sink of each workload's first job, before the
+    // (cache-hit) `trace` span every job records for itself; both sit
+    // at depth 0.
     std::vector<ExperimentJob> jobs;
     for (const char *w : {"NN/euclid", "BFS/Kernel"}) {
         for (const char *arch : {"vgiw", "fermi"}) {
@@ -617,15 +626,12 @@ TEST(ExperimentEngine, PrepassTraceSpanLandsOnFirstDispatchedJob)
         ASSERT_TRUE(r.ok()) << r.error;
 
     for (size_t i = 0; i < jobs.size(); ++i) {
-        size_t prepass = 0;
-        size_t nested = 0;
+        size_t traces = 0;
         for (const SpanRecord &s : collector.job(i).spans()) {
-            if (s.name != "trace")
-                continue;
-            ++(s.depth == 0 ? prepass : nested);
+            EXPECT_EQ(s.depth, 0u) << i << " " << s.name;
+            traces += s.name == "trace";
         }
-        EXPECT_EQ(prepass, i % 2 == 0 ? 1u : 0u) << i;
-        EXPECT_EQ(nested, 1u) << i;
+        EXPECT_EQ(traces, i % 2 == 0 ? 2u : 1u) << i;
     }
 }
 
@@ -763,6 +769,76 @@ TEST(ExperimentEngine, StopWhileFetchInFlightDrainsWithoutHanging)
             EXPECT_FALSE(results[i].ran) << i;
         }
     }
+}
+
+ExperimentJob
+euclidOn(const std::string &arch)
+{
+    ExperimentJob j;
+    j.workload = "NN/euclid";
+    j.arch = arch;
+    return j;
+}
+
+TEST(ExperimentEngine, MidSweepStopFinishesInFlightAndDrainsTheRest)
+{
+    const std::string path =
+        ::testing::TempDir() + "vgiw_drain_journal.jsonl";
+    std::remove(path.c_str());
+    std::remove((path + ".1").c_str());
+
+    std::vector<ExperimentJob> jobs{euclidOn("vgiw"), euclidOn("fermi"),
+                                    euclidOn("sgmf")};
+
+    ResultJournal journal;
+    std::string err;
+    ASSERT_TRUE(
+        journal.create(path, ExperimentEngine::sweepHash(jobs), &err))
+        << err;
+
+    // One worker: the stop raised from the first job's callback is
+    // visible before the second dequeue, so exactly one job completes
+    // (and is journaled) and the rest come back drained.
+    std::atomic<bool> stop{false};
+    EngineOptions opts{1};
+    opts.stop = &stop;
+    opts.journal = &journal;
+    opts.onResult = [&stop](size_t, const JobResult &) {
+        stop.store(true);
+    };
+    ExperimentEngine engine(opts);
+    auto results = engine.run(jobs);
+    journal.close();
+
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_TRUE(results[0].ok()) << results[0].error;
+    EXPECT_FALSE(results[0].drained);
+    EXPECT_TRUE(results[1].drained);
+    EXPECT_TRUE(results[2].drained);
+
+    // Drained slots are not journaled: a resume re-enqueues them.
+    auto loaded = ResultJournal::load(path);
+    ASSERT_TRUE(loaded.valid) << loaded.error;
+    ASSERT_EQ(loaded.entries.size(), 1u);
+    EXPECT_EQ(loaded.entries.count(ExperimentEngine::jobKey(jobs[0])),
+              1u);
+}
+
+TEST(ExperimentEngine, SigtermSetsTheDrainFlag)
+{
+    resetDrainFlag();
+    installDrainHandlers();
+    ASSERT_FALSE(drainRequested());
+
+    std::raise(SIGTERM);
+
+    EXPECT_TRUE(drainRequested());
+    EXPECT_TRUE(drainFlag().load());
+    EXPECT_EQ(drainSignal(), SIGTERM);
+
+    resetDrainFlag();
+    EXPECT_FALSE(drainRequested());
+    EXPECT_EQ(drainSignal(), 0);
 }
 
 } // namespace

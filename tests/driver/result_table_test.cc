@@ -141,7 +141,7 @@ TEST(ResultTable, MatchesReferenceFormatterForEveryShape)
     }
     {
         JobResult r = failureResult();  // failure with metrics attached
-        r.metricsJson = "{\"engine.attempts\":3}";
+        r.metricsJson = "{\"lvc.misses\":3}";
         cases.push_back(r);
     }
     {

@@ -118,7 +118,7 @@ TEST(ShardSupervisor, HardFaultIsContainedAndQuarantined)
             EXPECT_FALSE(bad.ok);
             EXPECT_TRUE(bad.quarantined);
             EXPECT_EQ(bad.errorKind, SimErrorKind::WorkerCrash);
-            EXPECT_EQ(bad.attempts, 2u);  // default budget: one re-dispatch
+            EXPECT_EQ(bad.attempts, 2u);  // the crash budget: one re-dispatch
             EXPECT_NE(bad.error.find("worker crashed"), std::string::npos)
                 << bad.error;
             EXPECT_NE(bad.jsonLine.find("\"error_kind\":\"worker_crash\""),

@@ -12,7 +12,7 @@
  *   vgiw_run --suite [--arch ...] [--jobs N] [--json <file>]
  *            [--metrics] [--trace-out <file>]
  *            [--max-replay-cycles N] [--deadline-ms N]
- *            [--journal <file>] [--resume] [--retries N]
+ *            [--journal <file>] [--resume]
  *            [--artifact-dir <dir>]
  *            [--shards N] [--shard-deadline-ms N]
  *   vgiw_run [--suite|--workload ...] --dry-run
@@ -23,9 +23,11 @@
  * models) and prints a RunStats report per arch. --suite sweeps the
  * whole registry; --jobs bounds the worker pool and --json emits one
  * JSON-lines object per (workload, arch) result alongside the ASCII
- * report. --max-replay-cycles and --deadline-ms arm the per-job
- * watchdogs: a job that exceeds either budget is aborted and recorded
- * as a watchdog failure instead of hanging the sweep.
+ * report. --max-replay-cycles and --deadline-ms set the one per-job
+ * watchdog: a job that exceeds either budget is aborted and recorded
+ * as a watchdog failure instead of hanging the sweep. Every job runs
+ * once — a replay is deterministic, so a job that needs a larger
+ * budget gets it from a larger flag value, not from a re-run.
  *
  * Observability: --metrics collects per-job deterministic counters
  * (CVT drains, LVC hit/miss per block, SIMT divergence events, SGMF
@@ -33,16 +35,14 @@
  * --json line; without it the JSON is bit-identical to a metrics-free
  * run. --trace-out writes a Chrome trace-event file (open it in
  * chrome://tracing or Perfetto) of per-job spans — trace / compile /
- * replay / callback, with retry attempts nested — timing where the
- * sweep's wall clock went. Either flag alone enables collection;
- * counters only reach the JSON with an explicit --metrics.
+ * replay / callback — timing where the sweep's wall clock went. Either
+ * flag alone enables collection; counters only reach the JSON with an
+ * explicit --metrics.
  *
  * Durability (long sweeps): --journal appends every completed job to a
  * write-ahead, fsync'd result journal; --resume skips the jobs the
  * journal already holds and re-runs only the rest, producing --json
- * output bit-identical to an uninterrupted run. --retries N re-runs
- * watchdog/internal failures up to N extra attempts with escalating
- * budgets and quarantines jobs that exhaust them. SIGINT/SIGTERM drain
+ * output bit-identical to an uninterrupted run. SIGINT/SIGTERM drain
  * gracefully: no new jobs start, in-flight jobs finish (or trip their
  * watchdogs), the journal is flushed. --dry-run validates the
  * configuration and prints the job list (keys + sweep hash) without
@@ -59,9 +59,10 @@
  * (src/driver/worker_pool) that run jobs through their own engines and
  * stream results back over a checksummed pipe. A worker that
  * segfaults, aborts, is OOM-killed, goes heartbeat-silent or sends a
- * frame the coordinator cannot use costs one job dispatch, not the
- * sweep: the job is retried on a fresh worker and quarantined as
- * `worker_crash` when its crash budget is exhausted.
+ * frame the coordinator cannot use — or stops mid-frame for a
+ * heartbeat timeout — costs one job dispatch, not the sweep: the job
+ * is dispatched once more to a fresh worker and quarantined as
+ * `worker_crash` if that worker dies too.
  * --shard-deadline-ms arms a coordinator-side per-job wall-clock kill.
  * Surviving jobs' --json lines are byte-identical to a single-process
  * run; SIGINT/SIGTERM drain the whole fleet with no orphaned workers.
@@ -156,9 +157,6 @@ constexpr FlagSpec kFlags[] = {
      "kernels, warm sweeps mmap them back (--suite)"},
     {"--resume", nullptr,
      "skip jobs the journal already holds; re-run only the rest"},
-    {"--retries", "<n>",
-     "re-run watchdog/internal failures up to n more times, escalating "
-     "budgets; exhausted jobs are quarantined"},
     {"--dry-run", nullptr,
      "validate and print the job list (keys + sweep hash), run nothing"},
     {"--no-replication", nullptr, "disable block replication"},
@@ -324,7 +322,7 @@ main(int argc, char **argv)
     WatchdogConfig wd;
     bool suite = false, dump_ir = false, verbose = false;
     bool resume = false, dry_run = false, metrics_on = false;
-    unsigned jobs = 0, retries = 0, shards = 0;
+    unsigned jobs = 0, shards = 0;
     uint64_t shard_deadline_ms = 0;
     bool shards_set = false, shard_deadline_set = false;
 
@@ -367,9 +365,6 @@ main(int argc, char **argv)
             artifact_dir = next();
         } else if (a == "--resume") {
             resume = true;
-        } else if (a == "--retries") {
-            // 1 + retries is the attempt count: keep it from wrapping.
-            retries = unsigned(parseCount(a, next(), UINT_MAX - 1));
         } else if (a == "--dry-run") {
             dry_run = true;
         } else if (a == "--lvc-bytes") {
@@ -419,9 +414,9 @@ main(int argc, char **argv)
         std::fprintf(stderr, "--resume requires --journal <file>\n");
         return 2;
     }
-    if (!suite && (!journal_path.empty() || retries)) {
-        std::fprintf(stderr, "--journal/--resume/--retries are only "
-                             "meaningful with --suite\n");
+    if (!suite && !journal_path.empty()) {
+        std::fprintf(stderr, "--journal/--resume are only meaningful "
+                             "with --suite\n");
         return 2;
     }
     if (!suite && !artifact_dir.empty()) {
@@ -451,7 +446,7 @@ main(int argc, char **argv)
 
     SystemConfig cfg;
     cfg.vgiw = vcfg;
-    cfg.setWatchdog(wd);
+    cfg.watchdog = wd;
     // A malformed configuration is a usage error: report it before any
     // job consumes a functional execution.
     if (std::string msg = cfg.validate(arch); !msg.empty()) {
@@ -509,8 +504,9 @@ main(int argc, char **argv)
     int failures = 0;
     EngineOptions opts;
     opts.jobs = jobs;
-    opts.retry.maxAttempts = 1 + retries;
-    opts.onFailure = [&failures](const JobResult &r) {
+    opts.onResult = [&failures](size_t, const JobResult &r) {
+        if (r.ok())
+            return;
         ++failures;
         std::fprintf(stderr, "FAILED %s [%s]: %s\n", r.workload.c_str(),
                      r.arch.c_str(), r.error.c_str());
@@ -646,8 +642,8 @@ main(int argc, char **argv)
                         100.0 * r.stats.l1Stats.missRate(),
                         r.goldenPassed ? "ok" : "FAIL");
         }
-        std::printf("\n%zu results, %d failures (traced %llu workloads "
-                    "once each, %llu compilations)\n",
+        std::printf("\n%zu results, %d failures (%llu functional "
+                    "executions, %llu compilations)\n",
                     results.size(), failures,
                     (unsigned long long)executions,
                     (unsigned long long)compilations);
@@ -661,7 +657,7 @@ main(int argc, char **argv)
         if (restored)
             std::printf("%zu restored from the journal\n", restored);
         if (quarantined)
-            std::printf("%zu quarantined after exhausting retries\n",
+            std::printf("%zu quarantined after repeated worker crashes\n",
                         quarantined);
         if (drained)
             std::printf("%zu not run: interrupted%s\n", drained,

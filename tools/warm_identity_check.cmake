@@ -31,7 +31,7 @@ endif()
 
 # The warm run's summary must report that nothing was traced or
 # compiled: every job was served from the store.
-if(NOT warm_out MATCHES "traced 0 workloads once each, 0 compilations")
+if(NOT warm_out MATCHES "\\(0 functional executions, 0 compilations\\)")
     message(FATAL_ERROR "warm run was not fully store-served:\n"
                         "${warm_out}")
 endif()
@@ -61,7 +61,7 @@ execute_process(COMMAND ${BIN} --suite --arch dice --artifact-dir ${STORE}
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "warm dice suite run failed (exit ${rc})")
 endif()
-if(NOT dice_out MATCHES "traced 0 workloads once each, 0 compilations")
+if(NOT dice_out MATCHES "\\(0 functional executions, 0 compilations\\)")
     message(FATAL_ERROR "dice run was not served from the all-arch "
                         "store:\n${dice_out}")
 endif()
