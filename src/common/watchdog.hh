@@ -26,6 +26,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/sim_error.hh"
 
@@ -49,17 +50,18 @@ struct WatchdogConfig
      * against the same per-job budget.
      */
     std::chrono::steady_clock::time_point anchor{};
-
-    bool enabled() const { return maxReplayCycles || deadlineMs > 0; }
 };
 
 /** Per-replay watchdog state; construct at replay entry, poll in the
- * scheduler loop. */
+ * scheduler loop. The message is built only when a ceiling trips, so
+ * a disabled watchdog allocates nothing. @p arch and @p kernel must
+ * outlive it. */
 class Watchdog
 {
   public:
-    Watchdog(const WatchdogConfig &cfg, std::string context)
-        : maxCycles_(cfg.maxReplayCycles), context_(std::move(context))
+    Watchdog(const WatchdogConfig &cfg, std::string_view arch,
+             std::string_view kernel)
+        : maxCycles_(cfg.maxReplayCycles), arch_(arch), kernel_(kernel)
     {
         using Clock = std::chrono::steady_clock;
         if (cfg.deadlineMs > 0) {
@@ -91,7 +93,7 @@ class Watchdog
     {
         if (maxCycles_ && cycles > maxCycles_) {
             throw WatchdogError(
-                context_ + ": watchdog: replay exceeded " +
+                context() + ": watchdog: replay exceeded " +
                     std::to_string(maxCycles_) + " cycles (at " +
                     std::to_string(cycles) + " cycles, " +
                     std::to_string(block_execs) + " block execs)",
@@ -100,7 +102,7 @@ class Watchdog
         if (hasDeadline_ && (polls_++ & kDeadlineMask) == 0 &&
             std::chrono::steady_clock::now() > deadline_) {
             throw WatchdogError(
-                context_ + ": watchdog: wall-clock deadline exceeded (at " +
+                context() + ": watchdog: wall-clock deadline exceeded (at " +
                     std::to_string(cycles) + " cycles, " +
                     std::to_string(block_execs) + " block execs)",
                 cycles, block_execs, thread_ops);
@@ -108,6 +110,13 @@ class Watchdog
     }
 
   private:
+    std::string
+    context() const
+    {
+        return std::string(arch_) + " replay of '" + std::string(kernel_) +
+               "'";
+    }
+
     /** Deadline checked on poll 0, 1024, 2048, ... */
     static constexpr uint64_t kDeadlineMask = 1023;
 
@@ -115,7 +124,8 @@ class Watchdog
     bool hasDeadline_ = false;
     std::chrono::steady_clock::time_point deadline_{};
     uint64_t polls_ = 0;
-    std::string context_;
+    std::string_view arch_;
+    std::string_view kernel_;
 };
 
 } // namespace vgiw

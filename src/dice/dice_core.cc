@@ -1,7 +1,6 @@
 #include "dice/dice_core.hh"
 
 #include <algorithm>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -11,8 +10,7 @@
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/sim_error.hh"
-#include "mem/bank_merge.hh"
-#include "mem/memory_system.hh"
+#include "mem/ldst_path.hh"
 
 namespace vgiw
 {
@@ -238,9 +236,7 @@ DiceCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     rs.kernelName = k.name;
 
     // --- Runtime structures. -------------------------------------------
-    MemorySystem ms(vgiwL1Geometry());
-    BankMergeModel l1_banks_model(ms.l1().geometry().banks);
-    BankMergeModel shared_banks_model(32);
+    LdstPath ldst(cfg_.missWindow);  // the same LDST units as VGIW
     EnergyEvents &ev = rs.events;
     const int array_units = totalUnits(cfg_.arrayCounts);
     const int graph_load_cost = reconfigCycles(array_units);
@@ -248,9 +244,7 @@ DiceCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
 
     // Livelock containment, polled once per scheduled block visit (the
     // lane-group loop's unit of forward progress).
-    std::optional<Watchdog> wd;
-    if (watchdog_.enabled())
-        wd.emplace(watchdog_, "dice replay of '" + k.name + "'");
+    Watchdog wd(watchdog_, "dice", k.name);
 
     // Per-block attribution for the observability layer: visit counts
     // and active-lane occupancy. Deterministic replay statistics only —
@@ -326,9 +320,7 @@ DiceCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
             }
 
             // --- Replay this block visit. -----------------------------
-            l1_banks_model.reset();
-            shared_banks_model.reset();
-            uint64_t miss_latency = 0;
+            ldst.beginVector();
             int active = 0;
             const OpCounts &oc = ck->ops[size_t(b)];
             for (int l = 0; l < width; ++l) {
@@ -339,23 +331,11 @@ DiceCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
 
                 // Predication suppresses untaken-path memory accesses,
                 // so only active lanes reach the LDST reservation
-                // tables (word granularity, no coalescer — same LDST
-                // units as VGIW).
+                // tables.
                 const uint32_t nacc = cur.numAccesses();
                 for (uint32_t a = 0; a < nacc; ++a) {
                     const MemAccess acc = cur.nextAccess();
-                    if (acc.isShared) {
-                        shared_banks_model.access((acc.addr / 4) % 32,
-                                                  acc.addr / 4);
-                        ++ev.sharedWords;
-                        continue;
-                    }
-                    const MemAccessResult r =
-                        ms.access(acc.addr, acc.isStore);
-                    l1_banks_model.access(ms.l1().bankOf(acc.addr),
-                                          acc.addr / 128);
-                    if (r.servicedBy != MemLevel::L1)
-                        miss_latency += r.latency;
+                    ldst.access(acc.addr, acc.isStore, acc.isShared);
                 }
 
                 // Live values move through the schedule's operand
@@ -370,11 +350,7 @@ DiceCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
             // every *alive* lane occupies a slot (predication), so the
             // issue bound scales with the group, not the taken count.
             const DiceBlockSchedule &s = ck->sched[size_t(b)];
-            const uint64_t issue = uint64_t(alive) * uint64_t(s.ii);
-            const uint64_t bw = l1_banks_model.maxCycles();
-            const uint64_t shr = shared_banks_model.maxCycles();
-            const uint64_t lat = miss_latency / cfg_.missWindow;
-            compute_cycles += std::max({issue, bw, shr, lat}) +
+            compute_cycles += ldst.cycles(uint64_t(alive) * uint64_t(s.ii)) +
                               uint64_t(s.scheduleCycles);
             ii_stall_cycles += uint64_t(alive) * uint64_t(s.ii - 1);
             pred_waste_ops +=
@@ -401,45 +377,33 @@ DiceCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
             rs.dynBlockExecs += uint64_t(active);
             rs.dynThreadOps += uint64_t(active) * uint64_t(oc.total());
 
-            if (wd) {
-                wd->poll(compute_cycles + config_cycles,
-                         rs.dynBlockExecs, rs.dynThreadOps);
-            }
+            wd.poll(compute_cycles + config_cycles, rs.dynBlockExecs,
+                    rs.dynThreadOps);
         }
     }
 
     // --- Totals. ---------------------------------------------------------
     rs.configCycles = config_cycles;
-    rs.cycles = compute_cycles + config_cycles;
-    rs.cycles = std::max(rs.cycles, ms.dramServiceCycles());
+    ev.sharedWords = ldst.sharedWords();
 
-    rs.l1Stats = ms.l1().stats();
-    rs.l2Stats = ms.l2().stats();
-    rs.dramStats = ms.dram().stats();
-
-    const double avg_active =
-        block_visits ? double(active_lane_sum) / double(block_visits)
-                     : 0.0;
     rs.extra.set("dice.max_ii", double(ck->maxIi));
-    rs.extra.set("dice.avg_active_lanes", avg_active);
+    rs.extra.set("dice.avg_active_lanes",
+                 block_visits ? double(active_lane_sum) / double(block_visits)
+                              : 0.0);
     rs.extra.set("dice.predication_waste_ops", double(pred_waste_ops));
     rs.extra.set("dice.graph_switches", double(graph_switches));
 
     if (jm) {
         jm->set("dice.lane_groups", double(lane_groups));
         jm->set("dice.block_visits", double(block_visits));
-        jm->set("dice.avg_active_lanes", avg_active);
         jm->set("dice.ii_stall_cycles", double(ii_stall_cycles));
-        jm->set("dice.predication_waste_ops", double(pred_waste_ops));
         jm->set("dice.predication_waste_fraction",
                 pred_waste_ops + rs.dynThreadOps
                     ? double(pred_waste_ops) /
                           double(pred_waste_ops + rs.dynThreadOps)
                     : 0.0);
         jm->set("dice.graph_loads", double(graph_loads));
-        jm->set("dice.graph_switches", double(graph_switches));
         jm->set("dice.reconfig_cycles", double(config_cycles));
-        jm->set("dice.max_ii", double(ck->maxIi));
         jm->set("dice.avg_ii", ck->avgIi);
         for (int b = 0; b < num_blocks; ++b) {
             const std::string p = "dice.block" + std::to_string(b);
@@ -448,7 +412,7 @@ DiceCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
             jm->set(p + ".active_lanes", m_active[size_t(b)]);
         }
     }
-    rs.energy = priceEnergy(rs);
+    closeReplay(rs, compute_cycles + config_cycles, ldst.memory());
     return rs;
 }
 

@@ -200,7 +200,7 @@ struct ArchComparison
     lvcToRfRatio() const
     {
         return fermi.rfAccesses
-                   ? double(vgiw.lvcAccesses) /
+                   ? double(vgiw.lvcStats.accesses()) /
                          (32.0 * double(fermi.rfAccesses))
                    : 0.0;
     }

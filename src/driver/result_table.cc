@@ -99,7 +99,7 @@ renderJobLine(const JobResult &r)
         appendU64Field(out, "dyn_thread_ops", s.dynThreadOps);
         appendU64Field(out, "dyn_warp_instrs", s.dynWarpInstrs);
         appendU64Field(out, "rf_accesses", s.rfAccesses);
-        appendU64Field(out, "lvc_accesses", s.lvcAccesses);
+        appendU64Field(out, "lvc_accesses", s.lvcStats.accesses());
         appendNumField(out, "energy_core_pj", s.energy.corePj());
         appendNumField(out, "energy_die_pj", s.energy.diePj());
         appendNumField(out, "energy_system_pj", s.energy.systemPj());

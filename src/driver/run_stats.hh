@@ -19,6 +19,8 @@
 namespace vgiw
 {
 
+class MemorySystem;
+
 /**
  * Energy events RunStats does not already count elsewhere. A core counts
  * them during replay; priceEnergy() turns them into picojoules.
@@ -57,14 +59,12 @@ struct RunStats
 
     /** Register-file accesses, one per warp operand (Fermi, Fig. 3). */
     uint64_t rfAccesses = 0;
-    /** LVC word accesses (VGIW, Fig. 3). */
-    uint64_t lvcAccesses = 0;
 
     EnergyEvents events;
     EnergyAccount energy;  ///< priceEnergy(*this) with the default table
     CacheStats l1Stats;
     CacheStats l2Stats;
-    CacheStats lvcStats;
+    CacheStats lvcStats;  ///< VGIW; its accesses() is the Fig. 3 count
     DramStats dramStats;
 
     /** Free-form per-architecture extras (utilisation, replicas, ...). */
@@ -79,12 +79,20 @@ struct RunStats
 
 /**
  * Price @p rs's activity counts with @p table: events from rs.events,
- * plus dynWarpInstrs (front end), rfAccesses, lvcAccesses and the
- * L1/L2/DRAM counters. The only code that reads an EnergyTable entry, so
+ * plus dynWarpInstrs (front end), rfAccesses and the LVC, L1, L2 and
+ * DRAM counters. The only code that reads an EnergyTable entry, so
  * stored results can be repriced with other energies without a replay.
  */
 EnergyAccount priceEnergy(const RunStats &rs,
                           const EnergyTable &table = EnergyTable{});
+
+/**
+ * The end of every core model's replay: rs.cycles becomes @p cycles
+ * raised to the DRAM bandwidth floor of @p ms, rs takes the L1, L2 and
+ * DRAM counters of @p ms, and its energy is priced with the default
+ * table. Everything else in rs (events, LVC counters) is set before.
+ */
+void closeReplay(RunStats &rs, uint64_t cycles, const MemorySystem &ms);
 
 } // namespace vgiw
 

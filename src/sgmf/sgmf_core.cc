@@ -1,7 +1,6 @@
 #include "sgmf/sgmf_core.hh"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "cgrf/config_cost.hh"
@@ -10,8 +9,7 @@
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "ir/op_counts.hh"
-#include "mem/bank_merge.hh"
-#include "mem/memory_system.hh"
+#include "mem/ldst_path.hh"
 
 namespace vgiw
 {
@@ -213,7 +211,6 @@ SgmfCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
         rs.extra.set("sgmf.units_needed", ck->unitsNeeded);
         if (jm) {
             jm->set("sgmf.fits", 0.0);
-            jm->set("sgmf.units_needed", ck->unitsNeeded);
             jm->set("sgmf.units_total",
                     double(cfg_.grid.numUnits()));
         }
@@ -224,11 +221,11 @@ SgmfCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     const int critical = ck->criticalPath;
 
     // --- Replay: injections + memory traffic. --------------------------
-    MemorySystem ms(vgiwL1Geometry());
-    BankMergeModel bank_model(ms.l1().geometry().banks);
-    BankMergeModel shared_model(32);
+    // One LDST epoch for the whole run: every thread streams through
+    // the one static configuration, so the bank queues and the miss
+    // latency never restart.
+    LdstPath ldst(cfg_.missWindow);
     uint64_t injections = 0;
-    uint64_t miss_latency = 0;
     EnergyEvents &ev = rs.events;
     // Accumulated locally, published to rs only after the loop: the
     // watchdog polls rs.dynThreadOps and must keep seeing the replay
@@ -238,15 +235,11 @@ SgmfCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     // Livelock containment: the injection loop is not cycle-stepped,
     // so the cycle ceiling is checked against the issue-cycle proxy
     // (injections per replica), polled once per thread epoch.
-    std::optional<Watchdog> wd;
-    if (watchdog_.enabled())
-        wd.emplace(watchdog_, "sgmf replay of '" + k.name + "'");
+    Watchdog wd(watchdog_, "sgmf", k.name);
 
     for (uint32_t tid = 0; tid < traces.numThreads(); ++tid) {
-        if (wd) {
-            wd->poll(injections / uint64_t(replicas), rs.dynBlockExecs,
-                     rs.dynThreadOps);
-        }
+        wd.poll(injections / uint64_t(replicas), rs.dynBlockExecs,
+                rs.dynThreadOps);
         // One injection to enter the graph, plus one per back-edge
         // traversal (token recirculation for loop iterations). Memory:
         // only the taken path's accesses issue (predication). A single
@@ -262,33 +255,13 @@ SgmfCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
             const uint32_t nacc = c.numAccesses();
             for (uint32_t a = 0; a < nacc; ++a) {
                 const MemAccess acc = c.nextAccess();
-                if (acc.isShared) {
-                    shared_model.access((acc.addr / 4) % 32,
-                                        acc.addr / 4);
-                    ++ev.sharedWords;
-                    continue;
-                }
-                const MemAccessResult r =
-                    ms.access(acc.addr, acc.isStore);
-                bank_model.access(ms.l1().bankOf(acc.addr),
-                                  acc.addr / 128);
-                if (r.servicedBy != MemLevel::L1)
-                    miss_latency += r.latency;
+                ldst.access(acc.addr, acc.isStore, acc.isShared);
             }
         }
     }
 
-    const uint64_t issue =
-        (injections + uint64_t(replicas) - 1) / uint64_t(replicas);
-    const uint64_t bw = bank_model.maxCycles();
-    const uint64_t shr = shared_model.maxCycles();
-    const uint64_t lat = miss_latency / cfg_.missWindow;
-
     rs.configCycles = uint64_t(reconfigCycles(cfg_.grid.numUnits()));
     rs.reconfigs = 1;  // one static configuration per kernel
-    rs.cycles = std::max({issue, bw, lat, shr}) + uint64_t(critical) +
-                rs.configCycles;
-    rs.cycles = std::max(rs.cycles, ms.dramServiceCycles());
 
     // --- Energy events. -------------------------------------------------
     // Every mapped compute node fires per injection, taken path or not:
@@ -298,16 +271,14 @@ SgmfCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     ev.intOps = injections * ck->opsInt;
     ev.fpOps = injections * ck->opsFp;
     ev.scuOps = injections * ck->opsScu;
-    ev.ldstIssues = ms.l1().stats().accesses() + ev.sharedWords;
+    ev.sharedWords = ldst.sharedWords();
+    ev.ldstIssues = ldst.memory().l1().stats().accesses() + ev.sharedWords;
     ev.tokenRws = injections * ck->edges;
     ev.tokenHops = injections * ck->hops;
     ev.configuredUnits = uint64_t(cfg_.grid.numUnits());
 
     rs.dynThreadOps = thread_ops;
 
-    rs.l1Stats = ms.l1().stats();
-    rs.l2Stats = ms.l2().stats();
-    rs.dramStats = ms.dram().stats();
     rs.extra.set("sgmf.replicas", double(replicas));
     rs.extra.set("sgmf.injections", double(injections));
     rs.extra.set("sgmf.units_used", double(ck->placed.unitsUsed));
@@ -318,16 +289,17 @@ SgmfCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     if (jm) {
         const double units_total = double(cfg_.grid.numUnits());
         jm->set("sgmf.fits", 1.0);
-        jm->set("sgmf.units_used", double(ck->placed.unitsUsed));
         jm->set("sgmf.units_total", units_total);
         jm->set("sgmf.placement_utilization",
                 units_total > 0.0
                     ? double(ck->placed.unitsUsed) / units_total
                     : 0.0);
-        jm->set("sgmf.replicas", double(replicas));
-        jm->set("sgmf.injections", double(injections));
     }
-    rs.energy = priceEnergy(rs);
+    const uint64_t issue =
+        (injections + uint64_t(replicas) - 1) / uint64_t(replicas);
+    closeReplay(rs,
+                ldst.cycles(issue) + uint64_t(critical) + rs.configCycles,
+                ldst.memory());
     return rs;
 }
 

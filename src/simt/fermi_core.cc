@@ -4,7 +4,6 @@
 #include <array>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -357,13 +356,10 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
 
     // Livelock containment: polled once per scheduler iteration (every
     // issue, terminator or idle-advance — the loop's unit of work).
-    std::optional<Watchdog> wd;
-    if (watchdog_.enabled())
-        wd.emplace(watchdog_, "fermi replay of '" + k.name + "'");
+    Watchdog wd(watchdog_, "fermi", k.name);
 
     while (!resident.empty()) {
-        if (wd)
-            wd->poll(clock, rs.dynBlockExecs, rs.dynThreadOps);
+        wd.poll(clock, rs.dynBlockExecs, rs.dynThreadOps);
         // Pick the next ready, resident warp: the first candidate in
         // circular warp-ID order from next_idx — the same round-robin
         // greedy policy as scanning every warp. The earliest-wakeup
@@ -550,11 +546,6 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
         }
     }
 
-    rs.cycles = std::max(clock, ms.dramServiceCycles());
-
-    rs.l1Stats = ms.l1().stats();
-    rs.l2Stats = ms.l2().stats();
-    rs.dramStats = ms.dram().stats();
     rs.extra.set("fermi.warps", double(total_warps));
     rs.extra.set("fermi.shared_accesses", double(ev.sharedWords));
     // SIMD lane occupancy: 1.0 means no divergence waste (Fig. 1b's
@@ -569,13 +560,8 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
         jm->set("fermi.reconvergence_events", double(m_reconvergence));
         jm->set("fermi.residency_scans", double(m_scans));
         jm->set("fermi.residency_scan_steps", double(m_scan_steps));
-        jm->set("fermi.lane_occupancy",
-                issued_slots ? double(active_lane_slots) /
-                                   (32.0 * double(issued_slots))
-                             : 0.0);
-        jm->set("fermi.warps", double(total_warps));
     }
-    rs.energy = priceEnergy(rs);
+    closeReplay(rs, clock, ms);
     return rs;
 }
 

@@ -64,9 +64,7 @@ class LiveValueCache
         return out;
     }
 
-    /** Word accesses so far (the Fig. 3 numerator). */
-    uint64_t accesses() const { return cache_.stats().accesses(); }
-
+    /** Word hits and misses; accesses() is the Fig. 3 numerator. */
     const CacheStats &stats() const { return cache_.stats(); }
     uint32_t bankOf(uint16_t lvid, uint32_t tid) const;
 

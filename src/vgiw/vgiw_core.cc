@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,8 +16,7 @@
 #include "common/sim_error.hh"
 #include "interp/barrier_pools.hh"
 #include "ir/op_counts.hh"
-#include "mem/bank_merge.hh"
-#include "mem/memory_system.hh"
+#include "mem/ldst_path.hh"
 #include "vgiw/control_vector_table.hh"
 #include "vgiw/live_value_cache.hh"
 
@@ -246,15 +244,11 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     rs.extra.set("placement.avg_utilization", ck->avgUtilization);
 
     // --- Runtime structures. -------------------------------------------
-    MemorySystem ms(vgiwL1Geometry());
-    LiveValueCache lvc(lvcGeometry(cfg_.lvcBytes), ms,
+    LdstPath ldst(cfg_.missWindow);
+    LiveValueCache lvc(lvcGeometry(cfg_.lvcBytes), ldst.memory(),
                        uint32_t(num_threads), cfg_.lvcHitLatency);
-    const uint32_t l1_banks = ms.l1().geometry().banks;
     EnergyEvents &ev = rs.events;
     const int reconfig_cost = reconfigCycles(cfg_.grid.numUnits());
-
-    BankMergeModel l1_banks_model(l1_banks);
-    BankMergeModel shared_banks_model(32);
 
     // Per-job replay state, sized once for the largest tile and reset
     // for each tile: nothing in the loops below allocates.
@@ -281,9 +275,7 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     // Livelock containment: a ceiling on model cycles and/or wall
     // clock, polled once per scheduled block vector (the BBS loop's
     // unit of forward progress).
-    std::optional<Watchdog> wd;
-    if (watchdog_.enabled())
-        wd.emplace(watchdog_, "vgiw replay of '" + k.name + "'");
+    Watchdog wd(watchdog_, "vgiw", k.name);
 
     // Per-block attribution for the observability layer: CVT drains,
     // LVC hit/miss traffic per block and the coalesced-vector-size
@@ -353,9 +345,7 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
             }
 
             // --- Replay this block vector. ---------------------------
-            l1_banks_model.reset();
-            shared_banks_model.reset();
-            uint64_t miss_latency = 0;
+            ldst.beginVector();
             coalesced.clear();
 
             for (uint32_t rel : rel_tids) {
@@ -369,31 +359,20 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                 const uint32_t nacc = cur.numAccesses();
                 for (uint32_t a = 0; a < nacc; ++a) {
                     const MemAccess acc = cur.nextAccess();
-                    if (acc.isShared) {
-                        shared_banks_model.access((acc.addr / 4) % 32,
-                                                  acc.addr / 4);
-                        ++ev.sharedWords;
-                        continue;
-                    }
-                    if (cfg_.enableMemoryCoalescing) {
+                    if (!acc.isShared && cfg_.enableMemoryCoalescing) {
                         const uint64_t key =
                             uint64_t(acc.addr / 128) * 2 + acc.isStore;
                         if (!coalesced.insert(key))
                             continue;  // merged into an earlier request
                     }
-                    const MemAccessResult r =
-                        ms.access(acc.addr, acc.isStore);
-                    l1_banks_model.access(ms.l1().bankOf(acc.addr),
-                                          acc.addr / 128);
-                    if (r.servicedBy != MemLevel::L1)
-                        miss_latency += r.latency;
+                    ldst.access(acc.addr, acc.isStore, acc.isShared);
                 }
 
                 // Live-value traffic through the LVC.
                 for (uint16_t lvid : ck->liveIns[b]) {
                     auto r = lvc.access(lvid, gtid, false);
                     if (!r.hit)
-                        miss_latency += r.latency;
+                        ldst.addMissLatency(r.latency);
                     if (jm)
                         ++(r.hit ? m_lvc_hits
                                  : m_lvc_misses)[size_t(b)];
@@ -401,7 +380,7 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                 for (const auto &lo : blk.liveOuts) {
                     auto r = lvc.access(lo.lvid, gtid, true);
                     if (!r.hit)
-                        miss_latency += r.latency;
+                        ldst.addMissLatency(r.latency);
                     if (jm)
                         ++(r.hit ? m_lvc_hits
                                  : m_lvc_misses)[size_t(b)];
@@ -436,13 +415,8 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
             }
 
             // --- Cycle model for this vector. -------------------------
-            const uint64_t issue = (v + replicas - 1) / replicas;
-            const uint64_t bw = l1_banks_model.maxCycles();
-            const uint64_t shared_cyc = shared_banks_model.maxCycles();
-            const uint64_t lat = miss_latency / cfg_.missWindow;
-            compute_cycles +=
-                std::max({issue, bw, lat, shared_cyc}) +
-                uint64_t(pb.criticalPathCycles);
+            compute_cycles += ldst.cycles((v + replicas - 1) / replicas) +
+                              uint64_t(pb.criticalPathCycles);
 
             // --- Energy events for this vector. -----------------------
             const OpCounts &oc = ck->ops[b];
@@ -455,23 +429,13 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
             rs.dynBlockExecs += v;
             rs.dynThreadOps += v * oc.total();
 
-            if (wd) {
-                wd->poll(compute_cycles + rs.configCycles,
-                         rs.dynBlockExecs, rs.dynThreadOps);
-            }
+            wd.poll(compute_cycles + rs.configCycles, rs.dynBlockExecs,
+                    rs.dynThreadOps);
         }
     }
     ev.cvtWords = cvt.stats().accesses();
-
-    // --- Totals. ---------------------------------------------------------
-    rs.cycles = compute_cycles + rs.configCycles;
-    rs.cycles = std::max(rs.cycles, ms.dramServiceCycles());
-
-    rs.lvcAccesses = lvc.accesses();
-    rs.l1Stats = ms.l1().stats();
-    rs.l2Stats = ms.l2().stats();
+    ev.sharedWords = ldst.sharedWords();
     rs.lvcStats = lvc.stats();
-    rs.dramStats = ms.dram().stats();
     // Fig. 1d quantified: how many threads each scheduled block vector
     // coalesced. Large numbers are what amortise reconfiguration.
     rs.extra.set("vgiw.avg_vector_size",
@@ -481,10 +445,6 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
 
     if (jm) {
         jm->set("vgiw.vectors_scheduled", double(vectors_scheduled));
-        jm->set("vgiw.avg_vector_size",
-                vectors_scheduled ? double(vector_sum) /
-                                        double(vectors_scheduled)
-                                  : 0.0);
         jm->set("vgiw.tile_threads", double(tile));
         for (int b = 0; b < num_blocks; ++b) {
             const std::string p = "vgiw.block" + std::to_string(b);
@@ -501,7 +461,7 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
             }
         }
     }
-    rs.energy = priceEnergy(rs);
+    closeReplay(rs, compute_cycles + rs.configCycles, ldst.memory());
     return rs;
 }
 

@@ -62,7 +62,7 @@ inBand(const std::string &workload)
     c.fermi.cycles = 226;  // Fig. 7: 2.26x
     c.sgmf.cycles = 112;   // Fig. 8: 1.12x
     c.fermi.rfAccesses = 1000;
-    c.vgiw.lvcAccesses = 2144;  // Fig. 3: 2144 / (32 * 1000) = 0.067
+    c.vgiw.lvcStats.readHits = 2144;  // Fig. 3: 2144 / (32 * 1000) = 0.067
     c.fermi.extra.add("fermi.lane_occupancy", 0.83);
     // VGIW core/die/system 10/20/100 pJ against Fermi's 70/100/200:
     // Fig. 10 core 7x > die 5x > system 2x, Fig. 9 2x. SGMF's 100 pJ

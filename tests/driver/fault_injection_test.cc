@@ -45,7 +45,7 @@ expectSameStats(const RunStats &a, const RunStats &b,
     EXPECT_EQ(a.dynBlockExecs, b.dynBlockExecs) << what;
     EXPECT_EQ(a.dynThreadOps, b.dynThreadOps) << what;
     EXPECT_EQ(a.rfAccesses, b.rfAccesses) << what;
-    EXPECT_EQ(a.lvcAccesses, b.lvcAccesses) << what;
+    EXPECT_EQ(a.lvcStats.accesses(), b.lvcStats.accesses()) << what;
     EXPECT_EQ(a.energy.systemPj(), b.energy.systemPj()) << what;
 }
 
@@ -287,7 +287,7 @@ TEST(FaultInjection, DeadlinePastTheClockRangeNeverFires)
     for (double ms : {1e14, 18446744073709551615.0}) {
         WatchdogConfig wd;
         wd.deadlineMs = ms;
-        Watchdog w(wd, "huge");
+        Watchdog w(wd, "vgiw", "huge");
         EXPECT_NO_THROW(w.poll(0, 0, 0)) << ms;
     }
 }

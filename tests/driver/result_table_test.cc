@@ -60,7 +60,7 @@ referenceJsonLine(const JobResult &r)
            << ",\"dyn_thread_ops\":" << s.dynThreadOps
            << ",\"dyn_warp_instrs\":" << s.dynWarpInstrs
            << ",\"rf_accesses\":" << s.rfAccesses
-           << ",\"lvc_accesses\":" << s.lvcAccesses
+           << ",\"lvc_accesses\":" << s.lvcStats.accesses()
            << ",\"energy_core_pj\":" << jsonNumber(s.energy.corePj())
            << ",\"energy_die_pj\":" << jsonNumber(s.energy.diePj())
            << ",\"energy_system_pj\":" << jsonNumber(s.energy.systemPj())
@@ -104,7 +104,7 @@ successResult()
     r.stats.dynThreadOps = 1234;
     r.stats.dynWarpInstrs = 0;
     r.stats.rfAccesses = 7;
-    r.stats.lvcAccesses = 4242;
+    r.stats.lvcStats.readHits = 4242;
     r.stats.energy.add(EnergyComponent(0), 1.5e6);
     r.stats.extra.set("vgiw.batches", 321.0);
     r.stats.extra.set("vgiw.replicas", 2.5);

@@ -133,7 +133,7 @@ allPricedEvents()
         {"tokenHops",
          [](RunStats &r, uint64_t n) { r.events.tokenHops = n; },
          C::TokenFabric, &T::tokenHop},
-        {"lvcAccesses", [](RunStats &r, uint64_t n) { r.lvcAccesses = n; },
+        {"lvc", [](RunStats &r, uint64_t n) { r.lvcStats.readHits = n; },
          C::Lvc, &T::lvcAccessWord},
         {"cvtWords", [](RunStats &r, uint64_t n) { r.events.cvtWords = n; },
          C::Cvt, &T::cvtAccessWord},

@@ -29,7 +29,7 @@ TEST_F(LvcTest, WriteThenReadHits)
     auto r = lvc.access(0, 42, false);
     EXPECT_TRUE(r.hit);
     EXPECT_EQ(r.latency, 6u);
-    EXPECT_EQ(lvc.accesses(), 2u);
+    EXPECT_EQ(lvc.stats().accesses(), 2u);
 }
 
 TEST_F(LvcTest, ConsecutiveThreadsShareLines)

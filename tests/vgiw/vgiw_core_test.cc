@@ -173,7 +173,7 @@ TEST(VgiwCore, LvcTrafficOnlyForCrossBlockValues)
     // lv_x: written once per thread in BB1 (8), read once per thread in
     // BB2/BB4/BB5 (8) and in BB6 (8) = 24 LVC accesses. BB3 also reads
     // lv_x for its branch (5 threads) => 29.
-    EXPECT_EQ(rs.lvcAccesses, 29u);
+    EXPECT_EQ(rs.lvcStats.accesses(), 29u);
 }
 
 TEST(VgiwCore, ReplicationAblationSlowsExecution)

@@ -32,12 +32,12 @@
  * Observability: --metrics collects per-job deterministic counters
  * (CVT drains, LVC hit/miss per block, SIMT divergence events, SGMF
  * placement utilisation, ...) and adds a "metrics" object to every
- * --json line; without it the JSON is bit-identical to a metrics-free
- * run. --trace-out writes a Chrome trace-event file (open it in
- * chrome://tracing or Perfetto) of per-job spans — trace / compile /
- * replay / callback — timing where the sweep's wall clock went. Either
- * flag alone enables collection; counters only reach the JSON with an
- * explicit --metrics.
+ * --json line and journal record; without it the JSON is bit-identical
+ * to a metrics-free run. --trace-out writes a Chrome trace-event file
+ * (open it in chrome://tracing or Perfetto) of per-job spans — trace /
+ * compile / replay / callback — timing where the sweep's wall clock
+ * went. It implies --metrics: spans and counters come from one
+ * collector, so a journaled row and its --json line are the same bytes.
  *
  * Durability (long sweeps): --journal appends every completed job to a
  * write-ahead, fsync'd result journal; --resume skips the jobs the
@@ -142,7 +142,8 @@ constexpr FlagSpec kFlags[] = {
      "collect per-job counters; adds a \"metrics\" object to --json "
      "lines"},
     {"--trace-out", "<file>",
-     "write a Chrome trace (chrome://tracing) of per-job spans"},
+     "write a Chrome trace (chrome://tracing) of per-job spans; "
+     "implies --metrics"},
     {"--lvc-bytes", "<n>", "LVC capacity (default 65536)"},
     {"--cvt-bits", "<n>", "CVT capacity (default 65536)"},
     {"--max-replay-cycles", "<n>",
@@ -225,9 +226,9 @@ printStats(const RunStats &rs, bool verbose)
     if (rs.rfAccesses)
         std::printf("        RF accesses: %llu (per warp operand)\n",
                     (unsigned long long)rs.rfAccesses);
-    if (rs.lvcAccesses)
+    if (rs.lvcStats.accesses())
         std::printf("        LVC accesses: %llu (%.1f%% miss)\n",
-                    (unsigned long long)rs.lvcAccesses,
+                    (unsigned long long)rs.lvcStats.accesses(),
                     100.0 * rs.lvcStats.missRate());
     if (verbose) {
         for (size_t c = 0; c < kNumEnergyComponents; ++c) {
@@ -359,6 +360,7 @@ main(int argc, char **argv)
             metrics_on = true;
         } else if (a == "--trace-out") {
             trace_path = next();
+            metrics_on = true;  // one collector: spans and counters
         } else if (a == "--journal") {
             journal_path = next();
         } else if (a == "--artifact-dir") {
@@ -512,11 +514,8 @@ main(int argc, char **argv)
                      r.arch.c_str(), r.error.c_str());
     };
 
-    // --trace-out alone still needs the collector (spans); only an
-    // explicit --metrics puts counters into the JSON output.
     MetricsCollector collector;
-    const bool collect = metrics_on || !trace_path.empty();
-    if (collect)
+    if (metrics_on)
         opts.metrics = &collector;
 
     // Mount the persistent artifact store before anything traces or
@@ -702,19 +701,6 @@ main(int argc, char **argv)
             // The JSON rows of --workload name the instance, not the
             // registry entry (they differ for the BPNN kernels).
             results[i].workload = full_name;
-            table.fill(i, results[i]);
-        }
-    }
-
-    if (collect && !metrics_on) {
-        // Spans were wanted, counters were not: strip them so the
-        // --json output stays bit-identical to a metrics-free run.
-        // Re-fill the engine's table rows so the render reflects
-        // the strip; the journal keeps the metrics it recorded.
-        // Restored rows still re-emit their journaled bytes
-        // verbatim, exactly as before.
-        for (size_t i = 0; i < results.size(); ++i) {
-            results[i].metricsJson.clear();
             table.fill(i, results[i]);
         }
     }
